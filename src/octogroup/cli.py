@@ -2,7 +2,7 @@
 octonion products, and the verification suite.
 
 Exit codes: 0 success (flagged results allowed), 1 verification failure,
-2 usage error.
+2 usage error or unusable reference data.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 from . import catalog
 from .chartab import tensor_decompose
-from .golden import multiset_from_multiplicities, render_terms
+from .golden import GoldenFileError, multiset_from_multiplicities, render_terms
 from .octonion import Octonion
 
 USAGE_ERROR = 2
@@ -25,18 +25,17 @@ def _fail_usage(message: str) -> int:
 
 
 def _labels(name: str, golden_dir: str | None):
-    """Alignment-based labels, or canonical d{degree}_{index} fallback."""
-    try:
+    """Alignment-based labels, or canonical d{degree}_{index} labels for a group
+    without a reference table."""
+    if catalog.ROSTER[name].golden_file is not None:
         align = catalog.alignment(name, golden_dir)
         return align, align.labels_in_order()
-    except Exception:
-        table = catalog.table(name)
-        counts: dict[int, int] = {}
-        labels = []
-        for row in table.rows:
-            counts[row.degree] = counts.get(row.degree, 0) + 1
-            labels.append(f"d{row.degree}_{counts[row.degree]}")
-        return None, labels
+    counts: dict[int, int] = {}
+    labels = []
+    for row in catalog.table(name).rows:
+        counts[row.degree] = counts.get(row.degree, 0) + 1
+        labels.append(f"d{row.degree}_{counts[row.degree]}")
+    return None, labels
 
 
 def cmd_chartab(args) -> int:
@@ -212,7 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (GoldenFileError, catalog.BuildError) as exc:
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

@@ -39,6 +39,13 @@ class GoldenFileError(ValueError):
     """Malformed reference data file."""
 
 
+def _read_lines(path: Path) -> list[str]:
+    try:
+        return path.read_text().splitlines()
+    except OSError as exc:
+        raise GoldenFileError(f"cannot read reference file {path}: {exc}") from exc
+
+
 def _parse_value(text: str) -> Cyclotomic:
     body = text
     sign = 1
@@ -90,11 +97,7 @@ def load_golden_table(path: Path | str) -> GoldenTable:
     labels: list[str] = []
     values: list[list[Cyclotomic]] = []
     flags: list[FlaggedCell] = []
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise GoldenFileError(f"cannot read reference table {path}: {exc}") from exc
-    for raw in lines:
+    for raw in _read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -264,36 +267,44 @@ def _parse_terms(text: str) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(terms.items()))
 
 
-def load_tensor_lines(path: Path | str) -> list[ProductLine]:
+def _load_lines(path: Path | str, kind: str, parse) -> list:
+    """parse(line) for each non-blank, non-comment line; any ValueError becomes
+    a GoldenFileError naming the file and the line."""
     path = Path(path)
     out = []
-    for raw in path.read_text().splitlines():
+    for raw in _read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        flagged = line.startswith("!")
-        if flagged:
-            line = line[1:].strip()
-        head, rhs = line.split("=", 1)
-        left, right = (part.strip() for part in head.split("x", 1))
-        out.append(ProductLine(left, right, _parse_terms(rhs), flagged, line))
+        try:
+            out.append(parse(line))
+        except ValueError as exc:
+            raise GoldenFileError(f"{path.name}: bad line {raw!r}: {exc}") from exc
     if not out:
-        raise GoldenFileError(f"{path.name}: no tensor lines")
+        raise GoldenFileError(f"{path.name}: no {kind} lines")
     return out
+
+
+def _product_line(line: str) -> ProductLine:
+    flagged = line.startswith("!")
+    if flagged:
+        line = line[1:].strip()
+    head, rhs = line.split("=", 1)
+    left, right = (part.strip() for part in head.split("x", 1))
+    return ProductLine(left, right, _parse_terms(rhs), flagged, line)
+
+
+def _branch_line(line: str) -> BranchLine:
+    head, rhs = line.split("->", 1)
+    return BranchLine(head.strip(), _parse_terms(rhs), line)
+
+
+def load_tensor_lines(path: Path | str) -> list[ProductLine]:
+    return _load_lines(path, "tensor", _product_line)
 
 
 def load_branch_lines(path: Path | str) -> list[BranchLine]:
-    path = Path(path)
-    out = []
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, rhs = line.split("->", 1)
-        out.append(BranchLine(head.strip(), _parse_terms(rhs), line))
-    if not out:
-        raise GoldenFileError(f"{path.name}: no branch lines")
-    return out
+    return _load_lines(path, "branch", _branch_line)
 
 
 def multiset_from_multiplicities(mults: list[int], alignment: Alignment) -> tuple[tuple[str, int], ...]:

@@ -42,13 +42,6 @@ def structure_constant(i: int, j: int, k: int) -> int:
     return s if kk == k else 0
 
 
-def unit_product(i: int, j: int) -> tuple[int, int]:
-    """e_i * e_j for i, j in 1..7 as (index, sign); index 0 means the scalar 1."""
-    if i == j:
-        return 0, -1
-    return _UNIT_TABLE[(i, j)]
-
-
 @dataclass(frozen=True)
 class Octonion:
     """Rational octonion over the basis (1, e1, ..., e7)."""

@@ -6,13 +6,21 @@ h -> p h q and preserving V0 form a group of order 192 (after identifying
 [p, q] with [-p, -q]); mapping the 3-dimensional conjugation action on
 (e1, e2, e3) together with the 4-dimensional action on e7 * (1, e1, e2, e3)
 = (e7, e4, e5, e6) yields degree-7 signed permutations.
+
+The 48 elements are indexed once (``quaternion_index``): a fixed order, the
+negation map, the sign ``QuaternionPair.of`` canonicalizes on, and a 48 x 48
+product table.  Each table entry is an exact ``Quaternion`` product looked up
+in the group, so a product outside the group raises KeyError.  A pair [p, q]
+is then the canonical index pair (index of p, index of q), and the checks
+over all coset products, all 192 x 192 pair products and the pair involutions
+read products off the table instead of recomputing them over Q(sqrt(2)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .scalars import QuadSqrt2, QUAD_ZERO, QUAD_ONE
@@ -101,8 +109,6 @@ for (_i, _j, _k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
     _QTAB[(_i, _j)] = (_k, 1)
     _QTAB[(_j, _i)] = (_k, -1)
 
-QUAT_ONE = Quaternion.unit(0)
-
 
 @lru_cache(maxsize=1)
 def binary_octahedral() -> dict[Quaternion, str]:
@@ -154,17 +160,12 @@ def coset_product(s: str, t: str) -> str:
 
 
 def verify_coset_table() -> bool:
-    """Recompute every coset product elementwise and compare with the table."""
+    """Compare the coset of each of the 48 x 48 elementwise products with the table."""
     group = binary_octahedral()
-    members: dict[str, list[Quaternion]] = {name: [] for name in COSET_NAMES}
-    for q, label in group.items():
-        members[label].append(q)
-    for s in COSET_NAMES:
-        for t in COSET_NAMES:
-            got = {group[a * b] for a in members[s] for b in members[t]}
-            if got != {COSET_TABLE[(s, t)]}:
-                return False
-    return True
+    index = quaternion_index()
+    label = [group[q] for q in index.elements]
+    return all(label[k] == COSET_TABLE[(label[i], label[j])]
+               for i, row in enumerate(index.mul) for j, k in enumerate(row))
 
 
 @dataclass(frozen=True)
@@ -188,15 +189,55 @@ class QuaternionPair:
         """Apply self first, then other: h -> p' (p h q) q'."""
         return QuaternionPair.of(other.p * self.p, self.q * other.q)
 
-    def inverse(self) -> "QuaternionPair":
-        return QuaternionPair.of(self.p.conjugate(), self.q.conjugate())
-
     def __lt__(self, other: "QuaternionPair") -> bool:
         return _pair_key(self) < _pair_key(other)
 
 
 def _pair_key(g: QuaternionPair):
     return tuple((c.a, c.b) for c in g.p.coeffs + g.q.coeffs)
+
+
+IndexPair = tuple[int, int]
+
+
+class QuaternionIndex:
+    """The binary octahedral group in the order of ``binary_octahedral()``."""
+
+    def __init__(self) -> None:
+        self.elements: tuple[Quaternion, ...] = tuple(binary_octahedral())
+        self.position: dict[Quaternion, int] = {q: i for i, q in enumerate(self.elements)}
+        self.neg: tuple[int, ...] = tuple(self.position[-q] for q in self.elements)
+        # QuaternionPair.of keeps [p, q] when the first nonzero coefficient of p is positive
+        self.positive: tuple[bool, ...] = tuple(
+            next(s for s in (c.sign() for c in q.coeffs) if s) > 0 for q in self.elements)
+
+    @cached_property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """mul[i][j] is the index of elements[i] * elements[j]."""
+        return tuple(tuple(self.position[a * b] for b in self.elements)
+                     for a in self.elements)
+
+    def pair(self, p: int, q: int) -> IndexPair:
+        """The canonical index pair of [elements[p], elements[q]]."""
+        return (p, q) if self.positive[p] else (self.neg[p], self.neg[q])
+
+    def pair_of(self, g: QuaternionPair) -> IndexPair:
+        return self.position[g.p], self.position[g.q]
+
+    def unit_pair(self, i: int, sign: int = 1) -> IndexPair:
+        """The index pair of [e_i, sign * e_i], where e_0 = 1."""
+        e = Quaternion.unit(i)
+        return self.pair(self.position[e], self.position[e if sign > 0 else -e])
+
+    def pair_product(self, a: IndexPair, b: IndexPair) -> IndexPair:
+        """Index form of ``QuaternionPair.__mul__``: apply a first, then b."""
+        mul = self.mul
+        return self.pair(mul[b[0]][a[0]], mul[a[1]][b[1]])
+
+
+@lru_cache(maxsize=1)
+def quaternion_index() -> QuaternionIndex:
+    return QuaternionIndex()
 
 
 @lru_cache(maxsize=1)
@@ -257,3 +298,18 @@ def pair_to_signedperm7(g: QuaternionPair) -> SignedPerm:
         img[oct_idx - 1] = _FOUR_BLOCK[unit[0]] - 1
         sgn[oct_idx - 1] = unit[1]
     return SignedPerm(tuple(img), tuple(sgn))
+
+
+@lru_cache(maxsize=1)
+def pair_images() -> dict[IndexPair, SignedPerm]:
+    """The degree-7 image of each pair of ``pair_group()``, keyed by index pair."""
+    index = quaternion_index()
+    return {index.pair_of(g): pair_to_signedperm7(g) for g in pair_group()}
+
+
+def is_homomorphism(images: dict[IndexPair, SignedPerm]) -> bool:
+    """images[a * b] == images[a] * images[b] for every ordered pair of keys,
+    with a * b read off the product table."""
+    pair_product = quaternion_index().pair_product
+    return all(images[pair_product(a, b)] == ga * gb
+               for a, ga in images.items() for b, gb in images.items())

@@ -126,6 +126,7 @@ def test_corrupt_golden_dir_reports_failures(tmp_path):
         assert failing
         assert any("chartab_7_3.txt" in c.computed or "chartab" in c.claim_id
                    for c in failing)
+        assert any(c.computed.startswith("error: GoldenFileError: ") for c in failing)
     finally:
         catalog.verify_all.cache_clear()
 

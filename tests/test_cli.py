@@ -120,6 +120,15 @@ def test_verify_corrupt_golden_dir(capsys, tmp_path):
         catalog.verify_all.cache_clear()
 
 
+def test_chartab_corrupt_golden_dir(capsys, tmp_path):
+    (tmp_path / "chartab_7_3.txt").write_text("group 7:3\norder 21\nsizes 9 9\n")
+    code, out, err = run_cli(capsys, "chartab", "7:3", "--golden-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "chartab_7_3.txt" in err
+
+
 def test_octmul(capsys):
     code, out, _ = run_cli(capsys, "octmul", "e1", "e2")
     assert code == 0

@@ -52,6 +52,24 @@ def test_corrupt_file_errors(tmp_path):
         gold.load_golden_table(garbled)
 
 
+def test_tensor_lines_errors_are_typed(tmp_path):
+    bad = tmp_path / "tensors.txt"
+    bad.write_text("1 x 1 = 1\n3_1 x 3_2 1 + 8\n")
+    with pytest.raises(gold.GoldenFileError, match="tensors.txt"):
+        gold.load_tensor_lines(bad)
+    with pytest.raises(gold.GoldenFileError, match="missing.txt"):
+        gold.load_tensor_lines(tmp_path / "missing.txt")
+
+
+def test_branch_lines_errors_are_typed(tmp_path):
+    bad = tmp_path / "branch.txt"
+    bad.write_text("1 -> 1\n3_1 = 3_1\n")
+    with pytest.raises(gold.GoldenFileError, match="branch.txt"):
+        gold.load_branch_lines(bad)
+    with pytest.raises(gold.GoldenFileError, match="missing.txt"):
+        gold.load_branch_lines(tmp_path / "missing.txt")
+
+
 def test_alignment_found_for_every_roster_table():
     for name, entry in catalog.ROSTER.items():
         if entry.golden_file is None:

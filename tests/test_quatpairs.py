@@ -11,13 +11,17 @@ from octogroup.quatpairs import (
     binary_octahedral,
     coset_of,
     coset_product,
+    is_homomorphism,
     pair_group,
+    pair_images,
     pair_to_signedperm7,
+    quaternion_index,
     verify_coset_table,
 )
 from octogroup.scalars import QuadSqrt2
 from octogroup.signedperm import SignedPerm
 from octogroup import catalog
+from octogroup.groups import close
 
 half = Fraction(1, 2)
 
@@ -120,3 +124,41 @@ def test_image_conjugate_to_ab_group():
 def test_pair_group_classes():
     group = catalog.build("2^3.S4-pairs")
     assert len(group.classes) == 13
+
+
+def test_index_table_matches_exact_products():
+    index = quaternion_index()
+    elements = index.elements
+    assert len(elements) == 48
+    for i, a in enumerate(elements):
+        assert elements[index.neg[i]] == -a
+        for j, b in enumerate(elements):
+            assert elements[index.mul[i][j]] == a * b
+
+
+def test_index_pair_product_matches_pair_product():
+    index = quaternion_index()
+    rng = random.Random(7)
+    pairs = pair_group()
+    for _ in range(200):
+        a, b = rng.choice(pairs), rng.choice(pairs)
+        assert index.pair_product(index.pair_of(a), index.pair_of(b)) == index.pair_of(a * b)
+    one = Quaternion.unit(0)
+    assert index.unit_pair(0, -1) == index.pair_of(QuaternionPair.of(-one, one))
+
+
+def test_homomorphism_check_detects_one_flipped_sign():
+    images = dict(pair_images())
+    assert len(images) == 192
+    assert is_homomorphism(images)
+    key = sorted(images)[100]
+    g = images[key]
+    images[key] = SignedPerm(g.image, (-g.signs[0],) + g.signs[1:])
+    assert not is_homomorphism(images)
+
+
+def test_pair_image_group_generators():
+    group = catalog.pair_image_group()
+    assert group.order == 192
+    assert close(list(group.generators)).elements == group.elements
+    assert len(group.generators) < 64
