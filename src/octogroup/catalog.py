@@ -31,7 +31,8 @@ from .chartab import (
     inner_product,
     natural_character,
 )
-from .groups import Group, close, find_complement, find_conjugating_element, is_normal, quotient, subgroup
+from .groups import (Group, close, conjugate_action, find_complement, find_conjugating_element,
+                     is_normal, orbit, quotient, subgroup)
 from .octonion import FANO_LINES, is_algebra_automorphism, triad_type
 from .quatpairs import (
     binary_octahedral,
@@ -131,14 +132,14 @@ ROSTER: dict[str, RosterEntry] = {e.name: e for e in (
                 "chartab_2_3_s4.txt", "tensors_2_3_s4.txt"),
 )}
 
-# (parent, child-name) -> (child generator names, branch reference file)
-BRANCH_PAIRS: dict[tuple[str, str], tuple[tuple[str, ...], str]] = {
-    ("2^3.PSL2(7)", "2^3:7:3"): (("alpha", "beta", "N1"), "branch_1344_to_2_3_7_3.txt"),
-    ("2^3:PSL2(7)", "2^3:7:3"): (("alpha_t", "beta_t", "N1"), "branch_1344_to_2_3_7_3.txt"),
-    ("2^3:PSL2(7)", "PSL2(7)"): (("alpha_t", "beta_t", "gamma_t"), "branch_split_1344_to_psl2_7.txt"),
-    ("2^3:7:3", "7:3"): (("alpha", "beta"), "branch_2_3_7_3_to_7_3.txt"),
-    ("2^3:7:3-split", "7:3"): (("alpha_t", "beta_t"), "branch_2_3_7_3_to_7_3.txt"),
-    ("PSL2(7)", "7:3"): (("alpha_t", "beta_t"), "branch_psl2_7_to_7_3.txt"),
+# (parent, child-name) -> branch reference file
+BRANCH_PAIRS: dict[tuple[str, str], str] = {
+    ("2^3.PSL2(7)", "2^3:7:3"): "branch_1344_to_2_3_7_3.txt",
+    ("2^3:PSL2(7)", "2^3:7:3"): "branch_1344_to_2_3_7_3.txt",
+    ("2^3:PSL2(7)", "PSL2(7)"): "branch_split_1344_to_psl2_7.txt",
+    ("2^3:7:3", "7:3"): "branch_2_3_7_3_to_7_3.txt",
+    ("2^3:7:3-split", "7:3"): "branch_2_3_7_3_to_7_3.txt",
+    ("PSL2(7)", "7:3"): "branch_psl2_7_to_7_3.txt",
 }
 
 # concrete roster entry realizing the child of each branch pair
@@ -195,10 +196,15 @@ def table(name: str) -> CharacterTable:
     return character_table(build(name))
 
 
+def _reference_path(filename: str, golden_dir: str | None) -> Path:
+    """A reference file in golden_dir, or in the packaged data when golden_dir
+    is None or empty."""
+    return (Path(golden_dir) if golden_dir else gold.DATA_DIR) / filename
+
+
 @lru_cache(maxsize=None)
 def _golden_table(filename: str, golden_dir: str | None) -> gold.GoldenTable:
-    base = Path(golden_dir) if golden_dir else gold.DATA_DIR
-    return gold.load_golden_table(base / filename)
+    return gold.load_golden_table(_reference_path(filename, golden_dir))
 
 
 @lru_cache(maxsize=None)
@@ -226,10 +232,9 @@ def choose_alignments(golden_dir: str | None = None) -> dict[str, gold.Alignment
             raise BuildError(f"no reference alignment found for {n}")
 
     constraints = []
-    for (parent, child), (_, branch_file) in BRANCH_PAIRS.items():
+    for (parent, child), branch_file in BRANCH_PAIRS.items():
         child_roster = BRANCH_CHILD_ROSTER[(parent, child)]
-        lines = gold.load_branch_lines(gold.DATA_DIR / branch_file
-                                       if golden_dir is None else Path(golden_dir) / branch_file)
+        lines = gold.load_branch_lines(_reference_path(branch_file, golden_dir))
         matrix = [list(r) for r in branch_matrix(parent, child_roster)]
         constraints.append((parent, child_roster, matrix, lines))
 
@@ -328,6 +333,16 @@ class VerificationReport:
         n = len(self.claims)
         return (f"{n} claims: {n - len(self.failures) - len(self.flagged)} pass, "
                 f"{len(self.flagged)} flagged, {len(self.failures)} fail")
+
+
+def _diagonal_subgroup(parent: Group) -> Group:
+    """The order-8 subgroup 2^3 generated by N1, N2, N7 inside parent."""
+    return subgroup(parent, [generator("N1"), generator("N2"), generator("N7")])
+
+
+def _class_profile(group: Group) -> list[tuple[int, int]]:
+    """The sorted (element order, class size) pairs of the conjugacy classes."""
+    return sorted((c.element_order, c.size) for c in group.classes)
 
 
 def _diag_name(g: SignedPerm) -> str:
@@ -452,14 +467,14 @@ def verify_all(golden_dir: str | None = None) -> VerificationReport:
     }
     for name, expected in expected_classes.items():
         def _classes(name=name, expected=expected):
-            got = sorted((c.element_order, c.size) for c in build(name).classes)
+            got = _class_profile(build(name))
             return (str(got), got == expected)
         rep.run(f"classes.{name}", f"conjugacy class (order, size) data of {name}",
                 str(expected), _classes)
 
     def _split192_assignment():
-        v_like = sorted((c.element_order, c.size) for c in build("2^3:S4").classes)
-        vii_like = sorted((c.element_order, c.size) for c in build("4:S4:2").classes)
+        v_like = _class_profile(build("2^3:S4"))
+        vii_like = _class_profile(build("4:S4:2"))
         ok = len(v_like) == 14 and len(vii_like) == 13
         return ("the split group on A-tilde, B-tilde, N1 has 14 classes (4.S4:2-type "
                 "table) and the one on gamma-tilde, theta-tilde, N1 has 13 (2^3.S4-type)",
@@ -473,7 +488,7 @@ def verify_all(golden_dir: str | None = None) -> VerificationReport:
     def _complement(parent_name, profile, expect_found):
         def check():
             parent = build(parent_name)
-            normal = subgroup(parent, [generator("N1"), generator("N2"), generator("N7")])
+            normal = _diagonal_subgroup(parent)
             found = find_complement(parent, normal, profile)
             if found is not None:
                 inter = set(found.elements) & set(normal.elements)
@@ -497,7 +512,7 @@ def verify_all(golden_dir: str | None = None) -> VerificationReport:
 
     def _normal_2_3():
         parent = build("2^3.PSL2(7)")
-        sub = subgroup(parent, [generator("N1"), generator("N2"), generator("N7")])
+        sub = _diagonal_subgroup(parent)
         ok = sub.order == 8 and is_normal(parent, sub)
         return (f"order {sub.order}, normal: {is_normal(parent, sub)}", ok)
     rep.run("normality.2^3",
@@ -507,10 +522,10 @@ def verify_all(golden_dir: str | None = None) -> VerificationReport:
     # quotients
     def _quotient_psl():
         parent = build("2^3.PSL2(7)")
-        normal = subgroup(parent, [generator("N1"), generator("N2"), generator("N7")])
+        normal = _diagonal_subgroup(parent)
         points = list(diagonal_involutions().values())
         q = quotient(parent, normal, points)
-        sizes = sorted((c.element_order, c.size) for c in q.classes)
+        sizes = _class_profile(q)
         ok = (q.order == 168 and len(q.classes) == 6
               and generator("alpha_t") in q and generator("beta_t") in q
               and generator("gamma_t") in q
@@ -524,7 +539,7 @@ def verify_all(golden_dir: str | None = None) -> VerificationReport:
 
     def _quotient_s4():
         parent = build("2^3.S4")
-        normal = subgroup(parent, [generator("N1"), generator("N2"), generator("N7")])
+        normal = _diagonal_subgroup(parent)
         points = list(diagonal_involutions().values())
         q = quotient(parent, normal, points)
         a_img = conjugate_action(generator("A"), points)
@@ -564,8 +579,7 @@ def verify_all(golden_dir: str | None = None) -> VerificationReport:
     # two PSL2(7)s (acceptance 6)
     def _psl_pair_orders():
         h1, h2 = build("PSL2(7)"), build("PSL2(7)-second")
-        s1 = sorted((c.element_order, c.size) for c in h1.classes)
-        s2 = sorted((c.element_order, c.size) for c in h2.classes)
+        s1, s2 = _class_profile(h1), _class_profile(h2)
         ok = h1.order == h2.order == 168 and s1 == s2 == expected_classes["PSL2(7)"]
         return (f"orders ({h1.order}, {h2.order}), equal PSL2(7) class data: {ok}", ok)
     rep.run("psl2x2.orders", "both PSL2(7) copies have order 168 and PSL2(7) class data",
@@ -695,8 +709,7 @@ def verify_all(golden_dir: str | None = None) -> VerificationReport:
             continue
         seen_tensor.add((tf, name))
         def _tensors(name=name, tf=tf):
-            lines = gold.load_tensor_lines(
-                (Path(golden_dir) if golden_dir else gold.DATA_DIR) / tf)
+            lines = gold.load_tensor_lines(_reference_path(tf, golden_dir))
             checks = gold.check_tensor_lines(al(name), lines)
             bad = [c for c in checks if not c.matches and not c.flagged]
             flagged = [c for c in checks if c.flagged]
@@ -721,11 +734,10 @@ def verify_all(golden_dir: str | None = None) -> VerificationReport:
                 "all lines match (flagged or relabeled lines reported)", _tensors)
 
     # branchings (acceptance 9)
-    for (parent, child), (_, branch_file) in BRANCH_PAIRS.items():
+    for (parent, child), branch_file in BRANCH_PAIRS.items():
         child_roster = BRANCH_CHILD_ROSTER[(parent, child)]
         def _branch(parent=parent, child_roster=child_roster, branch_file=branch_file):
-            lines = gold.load_branch_lines(
-                (Path(golden_dir) if golden_dir else gold.DATA_DIR) / branch_file)
+            lines = gold.load_branch_lines(_reference_path(branch_file, golden_dir))
             matrix = [list(r) for r in branch_matrix(parent, child_roster)]
             checks = gold.check_branch_lines(al(parent), al(child_roster), matrix, lines)
             bad = [c for c in checks if not c.matches]
@@ -797,17 +809,7 @@ def verify_all(golden_dir: str | None = None) -> VerificationReport:
         index = quaternion_index()
         gens = [index.unit_pair(i, -1) for i in (0, 1, 2)]
         idp = index.unit_pair(0)
-        seen = {idp}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for h in gens:
-                    y = index.pair_product(x, h)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        seen = orbit(idp, gens, index.pair_product)
         ok = len(seen) == 8 and all(x == idp or index.pair_product(x, x) == idp for x in seen)
         return (f"subgroup of size {len(seen)}, all non-identity elements involutions", ok)
     rep.run("quaternion.2^3",
@@ -869,13 +871,6 @@ def verify_all(golden_dir: str | None = None) -> VerificationReport:
             "all even", _parity)
 
     return rep
-
-
-def conjugate_action(g: SignedPerm, points: list[SignedPerm]) -> SignedPerm:
-    """The permutation induced by conjugation with g on the given points."""
-    where = {p: i for i, p in enumerate(points)}
-    img = [where[conjugate(p, g)] for p in points]
-    return SignedPerm(tuple(img), (1,) * len(points))
 
 
 def _aligned_matrix(a: gold.Alignment) -> tuple[tuple[str, ...], ...]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .groups import Group, ConjugacyClass
-from .scalars import Cyclotomic
+from .scalars import Cyclotomic, prime_factors
 
 Matrix = list[list[int]]
 
@@ -27,14 +27,7 @@ class SplitFailure(RuntimeError):
 # -- small number theory ----------------------------------------------------
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def dixon_prime(exponent: int, order: int) -> int:
@@ -50,17 +43,7 @@ def dixon_prime(exponent: int, order: int) -> int:
 
 def primitive_root(p: int) -> int:
     """Smallest primitive root modulo the prime p."""
-    factors = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
+    factors = prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
@@ -232,9 +215,6 @@ class CharacterTable:
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.degree for row in self.rows)
 
-    def value_matrix(self) -> list[list[Cyclotomic]]:
-        return [list(row.values) for row in self.rows]
-
 
 def character_table(group: Group) -> CharacterTable:
     classes = group.classes
@@ -374,12 +354,7 @@ def _check_table(table: CharacterTable) -> None:
                 raise SplitFailure("value conductor does not divide the element order")
     for i, chi in enumerate(rows):
         for j, psi in enumerate(rows):
-            total = Cyclotomic.zero()
-            for k in range(r):
-                term = chi.values[k] * psi.values[k].conjugate()
-                total = total + term.scale(classes[k].size)
-            expect = group.order if i == j else 0
-            if not total.is_rational() or total.rational_value() != expect:
+            if inner_product(chi, psi, group) != (1 if i == j else 0):
                 raise SplitFailure("row orthogonality failed")
     for k in range(r):
         for l in range(r):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial, prod
 from pathlib import Path
 
 from .chartab import CharacterTable, tensor_decompose
@@ -47,14 +48,9 @@ def _read_lines(path: Path) -> list[str]:
 
 
 def _parse_value(text: str) -> Cyclotomic:
-    body = text
-    sign = 1
-    if body.startswith("-") and body[1:] in _SYMBOLS:
-        sign, body = -1, body[1:]
-    if body in _SYMBOLS:
-        body = _SYMBOLS[body]
-    value = Cyclotomic.parse(body)
-    return value.scale(-1) if sign < 0 else value
+    if text.startswith("-") and text[1:] in _SYMBOLS:
+        return _parse_value(text[1:]).scale(-1)
+    return Cyclotomic.parse(_SYMBOLS.get(text, text))
 
 
 @dataclass(frozen=True)
@@ -189,12 +185,7 @@ def find_alignments(table: CharacterTable, golden: GoldenTable, group_name: str,
     for idx, meta in enumerate(computed_meta):
         groups[meta][1].append(idx)
 
-    total = 1
-    for cols, idxs in groups.values():
-        f = 1
-        for t in range(2, len(cols) + 1):
-            f *= t
-        total *= f
+    total = prod(factorial(len(cols)) for cols, _ in groups.values())
     if total > cap:
         raise GoldenFileError(f"too many candidate column matchings ({total})")
 
@@ -365,12 +356,7 @@ def find_tensor_relabeling(alignment: Alignment,
     for lab in alignment.golden.labels:
         labels_by_degree.setdefault(label_degree[lab], []).append(lab)
 
-    total = 1
-    for rows in by_degree.values():
-        f = 1
-        for t in range(2, len(rows) + 1):
-            f *= t
-        total *= f
+    total = prod(factorial(len(rows)) for rows in by_degree.values())
     if total > 10**5:
         raise GoldenFileError(f"too many candidate relabelings ({total})")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .signedperm import SignedPerm, conjugate
 
@@ -37,22 +38,31 @@ COMPLEMENT_PROFILES: dict[str, tuple[int, int, int, int]] = {
 }
 
 
-def _bfs_closure(generators: list[SignedPerm], cap: int) -> list[SignedPerm]:
-    identity = SignedPerm.identity(generators[0].degree)
-    seen = {identity}
-    queue = [identity]
-    while queue:
+def orbit(start, generators, act, cap: int | None = None) -> set:
+    """Breadth-first orbit of start: the smallest set containing start and
+    closed under x -> act(x, g) for every generator g.  Raises ClosureCapError
+    as soon as the orbit exceeds cap elements."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
         nxt = []
-        for x in queue:
+        for x in frontier:
             for g in generators:
-                y = x * g
+                y = act(x, g)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if len(seen) > cap:
+                    if cap is not None and len(seen) > cap:
                         raise ClosureCapError(f"closure exceeded cap {cap}")
-        queue = nxt
-    return sorted(seen)
+        frontier = nxt
+    return seen
+
+
+def conjugate_action(g: SignedPerm, points: list[SignedPerm]) -> SignedPerm:
+    """The permutation induced by conjugation with g on the given points."""
+    where = {p: i for i, p in enumerate(points)}
+    img = [where[conjugate(p, g)] for p in points]
+    return SignedPerm(tuple(img), (1,) * len(points))
 
 
 class Group:
@@ -88,19 +98,9 @@ class Group:
         for i, x in enumerate(self.elements):
             if assigned[i]:
                 continue
-            orbit = {i}
-            queue = [x]
-            while queue:
-                y = queue.pop()
-                for g in self.generators:
-                    z = conjugate(y, g)
-                    j = self.index[z]
-                    if j not in orbit:
-                        orbit.add(j)
-                        queue.append(z)
-            for j in orbit:
+            members = tuple(sorted(self.index[y] for y in orbit(x, self.generators, conjugate)))
+            for j in members:
                 assigned[j] = True
-            members = tuple(sorted(orbit))
             rep = self.elements[members[0]]
             found.append(ConjugacyClass(rep, len(members), rep.order(), members))
         found.sort(key=lambda c: (c.element_order, c.size, c.representative.key()))
@@ -157,7 +157,8 @@ def close(generators: list[SignedPerm], cap: int = 10**6) -> Group:
         raise ValueError("need at least one generator")
     if len({g.degree for g in generators}) != 1:
         raise ValueError("generators must share a degree")
-    return Group(_bfs_closure(list(generators), cap), list(generators))
+    identity = SignedPerm.identity(generators[0].degree)
+    return Group(list(orbit(identity, generators, mul, cap)), list(generators))
 
 
 def subgroup(parent: Group, generators: list[SignedPerm], cap: int = 10**6) -> Group:
@@ -199,11 +200,9 @@ def quotient(parent: Group, normal: Group,
         points = diagonal_points or sorted(g for g in normal.elements if g != normal.identity)
         if sorted(points) != sorted(g for g in normal.elements if g != normal.identity):
             raise ValueError("diagonal_points must list the 7 nontrivial elements")
-        where = {g: i for i, g in enumerate(points)}
 
         def act(g: SignedPerm) -> SignedPerm:
-            img = [where[conjugate(p, g)] for p in points]
-            return SignedPerm(tuple(img), (1,) * 7)
+            return conjugate_action(g, points)
     else:
         coset_key = {}
         for g in parent.elements:
@@ -249,7 +248,7 @@ def find_complement(parent: Group, normal: Group, profile: str) -> Group | None:
             if (x * y).order() != oxy:
                 continue
             try:
-                elems = _bfs_closure([x, y], qorder)
+                elems = orbit(parent.identity, [x, y], mul, qorder)
             except ClosureCapError:
                 continue
             if len(elems) != qorder:

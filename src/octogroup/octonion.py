@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .scalars import signed_sum, signed_terms
 from .signedperm import SignedPerm
 
 FANO_LINES: tuple[tuple[int, int, int], ...] = (
@@ -51,11 +52,6 @@ class Octonion:
     def __post_init__(self) -> None:
         if len(self.coeffs) != 8:
             raise ValueError("octonion needs 8 coefficients")
-
-    @staticmethod
-    def of(*vals: Fraction | int) -> "Octonion":
-        vals = vals + (0,) * (8 - len(vals))
-        return Octonion(tuple(Fraction(v) for v in vals))
 
     @staticmethod
     def unit(i: int) -> "Octonion":
@@ -111,57 +107,22 @@ class Octonion:
         return sum(c * c for c in self.coeffs)
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            atom = "1" if i == 0 else f"e{i}"
-            if i == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = atom
-            else:
-                body = f"{abs(c)}*{atom}"
-            parts.append(("-" if c < 0 else "+", body))
-        if not parts:
-            return "0"
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_sum([(c, f"e{i}" if i else "") for i, c in enumerate(self.coeffs)])
 
     @staticmethod
     def parse(text: str) -> "Octonion":
         """Parse expressions like ``e1``, ``-e3``, ``1/2*e2 + e7 - 3``."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty octonion expression")
-        terms = []
-        start = 0
-        for i in range(1, len(s)):
-            if s[i] in "+-":
-                terms.append(s[start:i])
-                start = i
-        terms.append(s[start:])
         total = Octonion.zero()
-        for term in terms:
-            sign = 1
-            if term.startswith("-"):
-                sign, term = -1, term[1:]
-            elif term.startswith("+"):
-                term = term[1:]
-            coeff = Fraction(1)
-            if "*" in term:
-                head, term = term.split("*", 1)
-                coeff = Fraction(head)
-            if term.startswith("e"):
-                idx = int(term[1:])
+        for coeff, atom in signed_terms(text):
+            if not atom:
+                idx = 0
+            elif atom.startswith("e"):
+                idx = int(atom[1:])
                 if not 1 <= idx <= 7:
                     raise ValueError(f"unit index {idx} out of range")
-                total = total + Octonion.unit(idx).scale(sign * coeff)
             else:
-                total = total + Octonion.unit(0).scale(sign * coeff * Fraction(term))
+                raise ValueError(f"bad octonion term {atom!r}")
+            total = total + Octonion.unit(idx).scale(coeff)
         return total
 
 

@@ -35,19 +35,26 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -155,6 +162,60 @@ def _apply_galois(n: int, dense: list[Fraction], a: int) -> list[Fraction]:
         if c:
             out[(a * e) % n] += c
     return _reduce_mod_phi(n, out)
+
+
+def signed_terms(text: str) -> list[tuple[Fraction, str]]:
+    """Split a sum such as ``1/2*z3 - z3^2 + 3`` into (coefficient, atom) pairs.
+
+    Spaces are ignored.  A term is a sign (optional on the first term), an
+    optional rational coefficient with ``*``, and an atom.  A rational atom is
+    folded into the coefficient and returned as the empty atom; the caller
+    interprets every other atom.  Malformed input, a zero denominator
+    included, raises ValueError.
+    """
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty expression")
+    cuts = [0] + [i for i in range(1, len(s)) if s[i] in "+-"] + [len(s)]
+    terms = []
+    try:
+        for term in (s[a:b] for a, b in zip(cuts, cuts[1:])):
+            coeff = Fraction(-1 if term[0] == "-" else 1)
+            atom = term[1:] if term[0] in "+-" else term
+            if "*" in atom:
+                head, atom = atom.split("*", 1)
+                coeff *= Fraction(head)
+            if not atom:
+                raise ValueError(f"missing term in {text!r}")
+            try:
+                coeff, atom = coeff * Fraction(atom), ""
+            except ValueError:
+                pass  # not a number: an atom for the caller
+            terms.append((coeff, atom))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    return terms
+
+
+def signed_sum(terms: list[tuple[Fraction, str]]) -> str:
+    """Render (coefficient, atom) pairs as ``1/2*z3 - z3^2 + 3``, the form
+    signed_terms reads back; zero coefficients are skipped, the empty atom is
+    the rational unit and the empty sum is ``0``."""
+    out = ""
+    for c, atom in terms:
+        if not c:
+            continue
+        if not atom:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = atom
+        else:
+            body = f"{abs(c)}*{atom}"
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
 
 
 @dataclass(frozen=True)
@@ -321,69 +382,24 @@ class Cyclotomic:
     # -- rendering / parsing ------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.coeffs:
-            atom = "" if e == 0 else (f"z{self.conductor}" if e == 1 else f"z{self.conductor}^{e}")
-            if not atom:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = atom
-            else:
-                body = f"{abs(c)}*{atom}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        n = self.conductor
+        return signed_sum([(c, "" if e == 0 else f"z{n}" if e == 1 else f"z{n}^{e}")
+                           for e, c in self.coeffs])
 
     @staticmethod
     def parse(text: str) -> "Cyclotomic":
         """Parse the ``z{n}^{k}`` grammar ('1/2*z3 - 1/2*z3^2', '-2', 'z7^4')."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty cyclotomic expression")
-        if s == "0":
-            return Cyclotomic.zero()
-        # split into signed terms
-        terms = []
-        i = 0
-        start = 0
-        while i < len(s):
-            if s[i] in "+-" and i > start:
-                terms.append(s[start:i])
-                start = i
-            i += 1
-        terms.append(s[start:])
         total = Cyclotomic.zero()
-        for term in terms:
-            total = total + Cyclotomic._parse_term(term)
-        return total
-
-    @staticmethod
-    def _parse_term(term: str) -> "Cyclotomic":
-        sign = 1
-        if term.startswith("-"):
-            sign, term = -1, term[1:]
-        elif term.startswith("+"):
-            term = term[1:]
-        if not term:
-            raise ValueError("dangling sign in cyclotomic expression")
-        coeff = Fraction(1)
-        if "*" in term:
-            head, term = term.split("*", 1)
-            coeff = Fraction(head)
-        if term.startswith("z"):
-            body = term[1:]
-            if "^" in body:
-                n_str, k_str = body.split("^", 1)
-                n, k = int(n_str), int(k_str)
+        for coeff, atom in signed_terms(text):
+            if not atom:
+                term = Cyclotomic.from_rational(coeff)
+            elif atom.startswith("z"):
+                n_str, caret, k_str = atom[1:].partition("^")
+                term = Cyclotomic.root(int(k_str) if caret else 1, int(n_str)).scale(coeff)
             else:
-                n, k = int(body), 1
-            return Cyclotomic.root(k, n).scale(sign * coeff)
-        return Cyclotomic.from_rational(sign * coeff * Fraction(term))
+                raise ValueError(f"bad cyclotomic term {atom!r}")
+            total = total + term
+        return total
 
 
 @dataclass(frozen=True)

@@ -73,24 +73,28 @@ class SignedPerm:
             k >>= 1
         return result
 
-    def order(self) -> int:
-        """Least k >= 1 with self**k = identity, from the signed cycle shape."""
-        n = self.degree
-        seen = [False] * n
-        result = 1
-        for start in range(n):
+    def cycles(self):
+        """Yield (points, sign) for each cycle of the underlying permutation:
+        the 0-based points in walk order from the smallest, and the product of
+        the signs along the cycle.  Fixed points are 1-cycles."""
+        seen = [False] * self.degree
+        for start in range(self.degree):
             if seen[start]:
                 continue
-            length = 0
+            points = []
             sign = 1
             i = start
             while not seen[i]:
                 seen[i] = True
+                points.append(i)
                 sign *= self.signs[i]
                 i = self.image[i]
-                length += 1
-            result = lcm(result, length if sign == 1 else 2 * length)
-        return result
+            yield tuple(points), sign
+
+    def order(self) -> int:
+        """Least k >= 1 with self**k = identity: a cycle of length l has order l
+        when its sign is +1 and 2l when it is -1."""
+        return lcm(*(len(points) * (1 if sign == 1 else 2) for points, sign in self.cycles()))
 
     def apply(self, i: int) -> tuple[int, int]:
         """Image of 0-based point i as (point, sign)."""
@@ -119,28 +123,12 @@ class SignedPerm:
         return rows
 
     def doubled_is_even(self) -> bool:
-        """Parity of the induced permutation of the 2n points +-e_i (True = even)."""
-        n = self.degree
-        seen = [False] * n
-        transpositions = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            sign = 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                sign *= self.signs[i]
-                i = self.image[i]
-                length += 1
-            if sign == 1:
-                # the doubled points split into two disjoint cycles of this length
-                transpositions += 2 * (length - 1)
-            else:
-                # the doubled points form a single cycle of twice the length
-                transpositions += 2 * length - 1
-        return transpositions % 2 == 0
+        """Parity of the induced permutation of the 2n points +-e_i (True = even).
+
+        A cycle of length l with sign +1 lifts to two l-cycles (an even
+        permutation); with sign -1 it lifts to one 2l-cycle (an odd one).
+        """
+        return sum(1 for _, sign in self.cycles() if sign == -1) % 2 == 0
 
     # -- text notation ------------------------------------------------------
 
@@ -187,24 +175,16 @@ class SignedPerm:
         return SignedPerm(tuple(img), tuple(sgn))
 
     def __str__(self) -> str:
-        n = self.degree
-        seen = [False] * n
+        """Signed-cycle notation; a cycle with sign -1 is written over two laps."""
         cycles = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            if self.image[start] == start and self.signs[start] == 1:
-                seen[start] = True
+        for points, sign in self.cycles():
+            if len(points) == 1 and sign == 1:
                 continue
             entries = []
-            i, s = start, 1
-            while True:
+            s = 1
+            for i in points * (1 if sign == 1 else 2):
                 entries.append(f"-e{i + 1}" if s < 0 else f"e{i + 1}")
-                seen[i] = True
                 s *= self.signs[i]
-                i = self.image[i]
-                if i == start and s == 1:
-                    break
             cycles.append("(" + " ".join(entries) + ")")
         return "".join(cycles) if cycles else "()"
 

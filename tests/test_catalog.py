@@ -132,7 +132,7 @@ def test_corrupt_golden_dir_reports_failures(tmp_path):
 
 
 def test_branch_child_groups_inside_parents():
-    for (parent, _child), (gen_names, _f) in catalog.BRANCH_PAIRS.items():
+    for (parent, _child), child_roster in catalog.BRANCH_CHILD_ROSTER.items():
         parent_group = catalog.build(parent)
-        for g in gen_names:
+        for g in catalog.ROSTER[child_roster].generator_names:
             assert catalog.generator(g) in parent_group

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +131,14 @@ def test_chartab_corrupt_golden_dir(capsys, tmp_path):
     assert "chartab_7_3.txt" in err
 
 
+def test_empty_golden_dir_means_packaged_data(capsys):
+    code, default, _ = run_cli(capsys, "chartab", "7:3")
+    assert code == 0
+    code, out, err = run_cli(capsys, "chartab", "7:3", "--golden-dir", "")
+    assert code == 0, err
+    assert out == default
+
+
 def test_octmul(capsys):
     code, out, _ = run_cli(capsys, "octmul", "e1", "e2")
     assert code == 0
@@ -138,6 +148,10 @@ def test_octmul(capsys):
     assert out.strip() == "(1/2*e2 + e7) * (e1) = -1/2*e3 + e4"
     code, _, err = run_cli(capsys, "octmul", "e9", "e1")
     assert code == 2
+    code, out, err = run_cli(capsys, "octmul", "1/0*e1", "e2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad octonion expression")
 
 
 def test_json_output_byte_identical_across_processes():
@@ -145,3 +159,17 @@ def test_json_output_byte_identical_across_processes():
     first = subprocess.run(cmd, capture_output=True, check=True).stdout
     second = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert first == second
+
+
+def test_benchmark_tracer_installs():
+    """perfbench/tracer.py wraps package functions by name, so renaming one
+    breaks the traced benchmark; install() rebinds module globals, hence the
+    separate process."""
+    root = Path(__file__).resolve().parents[1]
+    code = ("import octogroup.cli, octogroup.catalog\n"
+            "from tracer import Tracer\n"
+            "Tracer().install()\n"
+            "assert octogroup.cli.main(['octmul', 'e1', 'e2']) == 0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -50,6 +50,11 @@ def test_corrupt_file_errors(tmp_path):
                        "irrep 1 1 banana\n")
     with pytest.raises(gold.GoldenFileError):
         gold.load_golden_table(garbled)
+    zero_denominator = tmp_path / "zero_denominator.txt"
+    zero_denominator.write_text("group g\norder 5\nsizes 1 4\norders g 1 2\n"
+                                "irrep 1 1 1/0\n")
+    with pytest.raises(gold.GoldenFileError, match="zero_denominator.txt"):
+        gold.load_golden_table(zero_denominator)
 
 
 def test_tensor_lines_errors_are_typed(tmp_path):

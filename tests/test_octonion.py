@@ -128,5 +128,10 @@ def test_octonion_expression_round_trip():
     assert x.coeffs[0] == -3
     assert x.coeffs[2] == Fraction(1, 2)
     assert Octonion.parse(str(x)) == x
-    with pytest.raises(ValueError):
-        Octonion.parse("e8")
+    rng = random.Random(8)
+    for _ in range(200):
+        y = rand_oct(rng)
+        assert Octonion.parse(str(y)) == y
+    for bad in ("e8", "", "e1 +", "1/0*e1", "2*", "z3"):
+        with pytest.raises(ValueError):
+            Octonion.parse(bad)

@@ -14,6 +14,8 @@ from octogroup.scalars import (
     cyclotomic_polynomial,
 )
 
+from octogroup import catalog
+
 from conftest import numeric, random_cyclotomic
 
 
@@ -107,10 +109,14 @@ def test_parse_round_trip():
     # eta rendered canonically equals the root sum
     assert Cyclotomic.parse(str(ETA)) == \
         Cyclotomic.root(1, 7) + Cyclotomic.root(2, 7) + Cyclotomic.root(4, 7)
+    for name in catalog.ROSTER:
+        for row in catalog.table(name).rows:
+            for v in row.values:
+                assert Cyclotomic.parse(str(v)) == v
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "z", "1 +", "q3"):
+    for bad in ("", "z", "1 +", "q3", "1/0", "1/0*z3", "2*", "z3^"):
         with pytest.raises(ValueError):
             Cyclotomic.parse(bad)
 

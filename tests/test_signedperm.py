@@ -73,9 +73,16 @@ def test_parse_errors():
         SignedPerm.parse("(e1 x2)")
 
 
+def elements_1344():
+    """Every element of the two order-1344 groups."""
+    return [g for name in ("2^3.PSL2(7)", "2^3:PSL2(7)") for g in catalog.build(name)]
+
+
 def test_render_round_trip_for_generators():
     for name in catalog.GENERATOR_NAMES:
         g = catalog.generator(name)
+        assert SignedPerm.parse(str(g)) == g
+    for g in elements_1344():
         assert SignedPerm.parse(str(g)) == g
 
 
@@ -110,6 +117,14 @@ def test_matrix_convention():
 def test_order_divides_group_order():
     group = catalog.build("2^3.S4")
     assert all(group.order % g.order() == 0 for g in group.generators)
+    # the order read off the signed cycles equals the least k with g**k = 1,
+    # found by repeated multiplication
+    e = SignedPerm.identity(7)
+    for g in elements_1344():
+        k, power = 1, g
+        while power != e:
+            k, power = k + 1, power * g
+        assert g.order() == k
 
 
 def test_conjugate_orientation():
@@ -126,6 +141,15 @@ def test_doubled_parity():
     assert n1.doubled_is_even()  # four sign flips
     single_flip = SignedPerm.diagonal([-1, 1, 1, 1, 1, 1, 1])
     assert not single_flip.doubled_is_even()
+    # against the parity of the explicit permutation of the 14 points +-e_i,
+    # point 2i standing for +e_i and 2i + 1 for -e_i
+    for g in elements_1344() + [single_flip]:
+        image = [0] * 14
+        for i, (j, s) in enumerate(zip(g.image, g.signs)):
+            image[2 * i] = 2 * j + (s < 0)
+            image[2 * i + 1] = 2 * j + (s > 0)
+        inversions = sum(1 for a in range(14) for b in range(a + 1, 14) if image[a] > image[b])
+        assert g.doubled_is_even() == (inversions % 2 == 0)
 
 
 def test_degree_mismatch():
