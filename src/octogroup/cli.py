@@ -24,46 +24,26 @@ def _fail_usage(message: str) -> int:
     return USAGE_ERROR
 
 
-def _labels(name: str, golden_dir: str | None):
-    """Alignment-based labels, or canonical d{degree}_{index} labels for a group
-    without a reference table."""
-    if catalog.ROSTER[name].golden_file is not None:
-        align = catalog.alignment(name, golden_dir)
-        return align, align.labels_in_order()
-    counts: dict[int, int] = {}
-    labels = []
-    for row in catalog.table(name).rows:
-        counts[row.degree] = counts.get(row.degree, 0) + 1
-        labels.append(f"d{row.degree}_{counts[row.degree]}")
-    return None, labels
-
-
 def cmd_chartab(args) -> int:
     name = args.group
     if name not in catalog.ROSTER:
         return _fail_usage(f"unknown group {name!r}; roster: {', '.join(sorted(catalog.ROSTER))}")
     table = catalog.table(name)
     group = table.group
-    align, labels = _labels(name, args.golden_dir)
-    if align is not None:
-        label_of = {align.label_to_row[lab]: lab for lab in labels}
-        row_order = [align.label_to_row[lab] for lab in labels]
-        class_order = list(align.col_to_class)
-    else:
-        label_of = dict(enumerate(labels))
-        row_order = list(range(len(table.rows)))
-        class_order = list(range(len(group.classes)))
+    align = catalog.alignment(name, args.golden_dir)
+    class_order = align.col_to_class
 
     classes = [{
         "representative": str(group.classes[k].representative),
         "size": group.classes[k].size,
         "order": group.classes[k].element_order,
     } for k in class_order]
+    rows = [(lab, table.rows[align.label_to_row[lab]]) for lab in align.labels_in_order()]
     irreps = [{
-        "label": label_of[i],
-        "degree": table.rows[i].degree,
-        "values": [str(table.rows[i].values[k]) for k in class_order],
-    } for i in row_order]
+        "label": lab,
+        "degree": row.degree,
+        "values": [str(row.values[k]) for k in class_order],
+    } for lab, row in rows]
     doc = {"group": name, "order": group.order, "classes": classes, "irreps": irreps}
 
     if args.format == "json":
@@ -90,9 +70,8 @@ def cmd_tensor(args) -> int:
     name = args.group
     if name not in catalog.ROSTER:
         return _fail_usage(f"unknown group {name!r}")
-    align, labels = _labels(name, args.golden_dir)
-    if align is None:
-        return _fail_usage(f"no reference alignment for {name}; labels unavailable")
+    align = catalog.alignment(name, args.golden_dir)
+    labels = align.labels_in_order()
     try:
         i = align.irrep_index(args.left)
         j = align.irrep_index(args.right)
@@ -120,13 +99,12 @@ def cmd_branch(args) -> int:
         return _fail_usage(f"no registered subgroup embedding {args.group} -> "
                            f"{args.subgroup}; known: {known}")
     child_roster = catalog.BRANCH_CHILD_ROSTER[pair]
-    parent_align, parent_labels = _labels(args.group, args.golden_dir)
-    child_align, child_labels = _labels(child_roster, args.golden_dir)
-    if parent_align is None or child_align is None:
-        return _fail_usage("reference alignment unavailable for the requested pair")
+    parent_align = catalog.alignment(args.group, args.golden_dir)
+    child_align = catalog.alignment(child_roster, args.golden_dir)
+    child_labels = child_align.labels_in_order()
     matrix = catalog.branch_matrix(args.group, child_roster)
     lines = []
-    for lab in parent_labels:
+    for lab in parent_align.labels_in_order():
         i = parent_align.irrep_index(lab)
         terms = multiset_from_multiplicities(list(matrix[i]), child_align)
         lines.append((lab, render_terms(terms, child_labels)))
@@ -141,7 +119,7 @@ def cmd_branch(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = catalog.verify_all(args.golden_dir).filtered(args.filter)
+    report = catalog.verify_all(args.golden_dir, args.filter)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -174,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--golden-dir", default=None,
+        # "" also means the packaged data, so it shares the caches of None
+        p.add_argument("--golden-dir", default=None, type=lambda path: path or None,
                        help="directory of reference tables (defaults to packaged data)")
 
     p = sub.add_parser("chartab", help="print a character table")

@@ -10,6 +10,10 @@ corrected value participates in all comparisons and the cell is reported
 as flagged.  Values are integers, rationals, ``z{n}^{k}`` expressions
 (without spaces), or the symbols mu, mu_bar, eta, eta_bar (optionally
 negated), which expand to z3, -1-z3, z7+z7^2+z7^4 and its conjugate.
+A character of a group of order N takes values in Q(z{N}), so every
+``z{n}`` in a cell must have n dividing the ``order`` given on an earlier
+line.  This is checked before the cell is parsed, so a cell with a huge
+conductor fails at once instead of expanding.
 
 Tensor files: lines ``<label> x <label> = <sum>``; a leading ``!`` flags a
 suspected misprint (compared and reported, never fatal).  Branch files:
@@ -18,7 +22,9 @@ suspected misprint (compared and reported, never fatal).  Branch files:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
 from pathlib import Path
@@ -47,10 +53,15 @@ def _read_lines(path: Path) -> list[str]:
         raise GoldenFileError(f"cannot read reference file {path}: {exc}") from exc
 
 
-def _parse_value(text: str) -> Cyclotomic:
+def _parse_value(text: str, order: int) -> Cyclotomic:
+    """A cell of the table of a group of the given order."""
     if text.startswith("-") and text[1:] in _SYMBOLS:
-        return _parse_value(text[1:]).scale(-1)
-    return Cyclotomic.parse(_SYMBOLS.get(text, text))
+        return _parse_value(text[1:], order).scale(-1)
+    text = _SYMBOLS.get(text, text)
+    for n in map(int, re.findall(r"z(\d+)", text)):
+        if n < 1 or order < 1 or order % n:
+            raise ValueError(f"conductor {n} does not divide the group order {order}")
+    return Cyclotomic.parse(text)
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,7 @@ def load_golden_table(path: Path | str) -> GoldenTable:
                 row = []
                 for col, cell in enumerate(fields[2:]):
                     val, printed = _split_flag(cell)
-                    row.append(_parse_value(val))
+                    row.append(_parse_value(val, order))
                     if printed is not None:
                         flags.append(FlaggedCell(label, col, printed, val))
                 labels.append(label)
@@ -159,8 +170,8 @@ class Alignment:
         return list(self.golden.labels)
 
 
-def find_alignments(table: CharacterTable, golden: GoldenTable, group_name: str,
-                    cap: int = 20160) -> list[Alignment]:
+def find_alignments(table: CharacterTable, golden: GoldenTable,
+                    group_name: str) -> list[Alignment]:
     """All column/row matchings making the computed table equal the reference.
 
     Columns may only be permuted within identical (size, element-order)
@@ -186,7 +197,7 @@ def find_alignments(table: CharacterTable, golden: GoldenTable, group_name: str,
         groups[meta][1].append(idx)
 
     total = prod(factorial(len(cols)) for cols, _ in groups.values())
-    if total > cap:
+    if total > 20160:
         raise GoldenFileError(f"too many candidate column matchings ({total})")
 
     cell_str = [[str(v) for v in row.values] for row in table.rows]
@@ -312,6 +323,14 @@ def render_terms(terms: tuple[tuple[str, int], ...], label_order: list[str]) -> 
     return " + ".join(parts)
 
 
+@lru_cache(maxsize=None)
+def _tensor_mults(table: CharacterTable, i: int, j: int) -> tuple[int, ...]:
+    """tensor_decompose(table, i, j), computed once per table and pair {i, j}."""
+    if i > j:
+        return _tensor_mults(table, j, i)
+    return tuple(tensor_decompose(table, i, j))
+
+
 @dataclass(frozen=True)
 class LineCheck:
     line: str
@@ -326,8 +345,7 @@ def check_tensor_lines(alignment: Alignment, lines: list[ProductLine]) -> list[L
     for line in lines:
         i = alignment.irrep_index(line.left)
         j = alignment.irrep_index(line.right)
-        mults = tensor_decompose(table, i, j)
-        computed = multiset_from_multiplicities(mults, alignment)
+        computed = multiset_from_multiplicities(_tensor_mults(table, i, j), alignment)
         results.append(LineCheck(
             line.raw,
             computed == line.terms,
@@ -360,14 +378,6 @@ def find_tensor_relabeling(alignment: Alignment,
     if total > 10**5:
         raise GoldenFileError(f"too many candidate relabelings ({total})")
 
-    cache: dict[tuple[int, int], list[int]] = {}
-
-    def mults(i: int, j: int) -> list[int]:
-        key = (i, j) if i <= j else (j, i)
-        if key not in cache:
-            cache[key] = tensor_decompose(table, *key)
-        return cache[key]
-
     checked = [line for line in lines if not line.flagged]
     degs = sorted(by_degree)
     for combo in product(*(permutations(by_degree[d]) for d in degs)):
@@ -379,8 +389,8 @@ def find_tensor_relabeling(alignment: Alignment,
         ok = True
         for line in checked:
             got = tuple(sorted((row_to_label[k], m) for k, m in
-                               enumerate(mults(label_to_row[line.left],
-                                               label_to_row[line.right])) if m))
+                               enumerate(_tensor_mults(table, label_to_row[line.left],
+                                                       label_to_row[line.right])) if m))
             if got != line.terms:
                 ok = False
                 break

@@ -161,12 +161,12 @@ def close(generators: list[SignedPerm], cap: int = 10**6) -> Group:
     return Group(list(orbit(identity, generators, mul, cap)), list(generators))
 
 
-def subgroup(parent: Group, generators: list[SignedPerm], cap: int = 10**6) -> Group:
+def subgroup(parent: Group, generators: list[SignedPerm]) -> Group:
     """Closure of the generators, checked to lie inside parent."""
     for g in generators:
         if g not in parent:
             raise SubgroupError("subgroup generator outside the parent group")
-    return close(generators, cap)
+    return close(generators)
 
 
 def is_normal(parent: Group, sub: Group) -> bool:

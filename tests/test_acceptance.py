@@ -67,9 +67,7 @@ def test_criterion_02_class_counts_and_sizes():
 
 def test_criterion_03_character_tables_align(report):
     by_id = claims(report)
-    for name, entry in catalog.ROSTER.items():
-        if entry.golden_file is None:
-            continue
+    for name in catalog.ROSTER:
         claim = by_id[f"chartab.{name}"]
         assert claim.status in ("pass", "flagged"), claim
     # the two pre-annotated typo sites are flagged with computed values

@@ -1,4 +1,9 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,9 +66,7 @@ def test_misprinted_generator_forms():
 
 def test_choose_alignments_consistent():
     chosen = catalog.choose_alignments(None)
-    for name, entry in catalog.ROSTER.items():
-        if entry.golden_file is not None:
-            assert name in chosen
+    assert set(chosen) == set(catalog.ROSTER)
 
 
 def test_verify_report_no_failures(report):
@@ -112,9 +115,35 @@ def test_report_json_and_filter(report):
     data = json.loads(report.to_json())
     assert len(data) == len(report.claims)
     assert set(data[0]) == {"claim_id", "description", "status", "computed", "expected"}
-    orders_only = report.filtered("orders.")
-    assert orders_only.claims
-    assert all("orders." in c.claim_id for c in orders_only.claims)
+    orders_only = catalog.verify_all(None, "orders.").claims
+    assert orders_only
+    assert orders_only == [c for c in report.claims if "orders." in c.claim_id]
+
+
+def test_claim_families_match_benchmark_layers(report):
+    """perfbench/tracer.py times each claim family under a fixed name; a
+    family missing from its CLAIM_FAMILIES drops out of the traced layers."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    families = tuple(dict.fromkeys(c.claim_id.split(".")[0] for c in report.claims))
+    assert families == tracer.CLAIM_FAMILIES
+
+
+def test_filtered_verify_builds_no_group():
+    """Claims are selected before they are evaluated, so the relations claims
+    build no roster group; a fresh process starts with empty caches."""
+    code = ("import contextlib, io\n"
+            "from octogroup import catalog, cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    assert cli.main(['verify', '--filter', 'relations.']) == 0\n"
+            "assert '4 claims: 4 pass' in out.getvalue(), out.getvalue()\n"
+            "assert catalog.build.cache_info().misses == 0, catalog.build.cache_info()\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_corrupt_golden_dir_reports_failures(tmp_path):

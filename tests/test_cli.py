@@ -132,11 +132,15 @@ def test_chartab_corrupt_golden_dir(capsys, tmp_path):
 
 
 def test_empty_golden_dir_means_packaged_data(capsys):
+    from octogroup import catalog
     code, default, _ = run_cli(capsys, "chartab", "7:3")
     assert code == 0
+    cached = (catalog._alignment_candidates, catalog._golden_table, catalog.choose_alignments)
+    misses = [fn.cache_info().misses for fn in cached]
     code, out, err = run_cli(capsys, "chartab", "7:3", "--golden-dir", "")
     assert code == 0, err
     assert out == default
+    assert [fn.cache_info().misses for fn in cached] == misses
 
 
 def test_octmul(capsys):
