@@ -12,7 +12,6 @@ from .groups import (
     quotient,
     find_complement,
     find_conjugating_element,
-    are_conjugate_subgroups,
 )
 from .chartab import (
     CharacterRow,
@@ -30,7 +29,7 @@ __all__ = [
     "SignedPerm", "conjugate",
     "Octonion", "associator", "is_algebra_automorphism", "triad_type",
     "Group", "ConjugacyClass", "close", "subgroup", "is_normal", "quotient",
-    "find_complement", "find_conjugating_element", "are_conjugate_subgroups",
+    "find_complement", "find_conjugating_element",
     "CharacterRow", "CharacterTable", "character_table", "natural_character",
     "inner_product", "tensor_decompose", "branch", "frobenius_schur",
 ]

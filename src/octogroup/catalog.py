@@ -478,11 +478,11 @@ def _claims(golden_dir: str | None):
            "2^3:S4 -> 14-class table, 4:S4:2 -> 13-class table", _split192_assignment)
 
     # extension types (acceptance 5)
-    def _complement(parent_name, profile, expect_found):
+    def _complement(parent_name, expect_found):
         def check():
             parent = build(parent_name)
             normal = _diagonal_subgroup(parent)
-            found = find_complement(parent, normal, profile)
+            found = find_complement(parent, normal)
             if found is not None:
                 inter = set(found.elements) & set(normal.elements)
                 ok_struct = found.order * normal.order == parent.order and inter == {parent.identity}
@@ -492,16 +492,16 @@ def _claims(golden_dir: str | None):
             return (got, (found is not None) == expect_found and ok_struct)
         return check
     yield ("extension.2^3.PSL2(7)", "no complement of 2^3 in the non-split 1344 group",
-           "no complement", _complement("2^3.PSL2(7)", "PSL2(7)", False))
+           "no complement", _complement("2^3.PSL2(7)", False))
     yield ("extension.2^3:PSL2(7)", "a complement of 2^3 exists in the split 1344 group",
-           "complement found", _complement("2^3:PSL2(7)", "PSL2(7)", True))
+           "complement found", _complement("2^3:PSL2(7)", True))
     yield ("extension.2^3.S4", "no complement of 2^3 in the group generated by A, B",
-           "no complement", _complement("2^3.S4", "S4", False))
+           "no complement", _complement("2^3.S4", False))
     yield ("extension.2^3:S4", "a complement of 2^3 exists in the split group on "
-           "A-tilde, B-tilde, N1", "complement found", _complement("2^3:S4", "S4", True))
+           "A-tilde, B-tilde, N1", "complement found", _complement("2^3:S4", True))
     yield ("extension.4:S4:2", "a complement of 2^3 exists in the split group on "
            "gamma-tilde, theta-tilde, N1", "complement found",
-           _complement("4:S4:2", "S4", True))
+           _complement("4:S4:2", True))
 
     def _normal_2_3():
         parent = build("2^3.PSL2(7)")

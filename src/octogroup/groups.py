@@ -1,5 +1,11 @@
 """Finite-group machinery over signed permutations.
 
+One orbit walk serves closure and conjugacy classes.  On top of it sit
+power maps, normality, the quotient by a normal subgroup as a conjugation
+action, the complement search by lifting generators, and the search for an
+element conjugating one subgroup onto another.  Every construction takes
+what it needs from its arguments.
+
 Everything is deterministic: elements are ordered by their canonical
 encoding, conjugacy classes by (element order, size, representative), and
 all searches scan in those orders.
@@ -9,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import lcm
 from operator import mul
 
@@ -29,13 +36,6 @@ class ConjugacyClass:
     size: int
     element_order: int
     member_indices: tuple[int, ...]
-
-
-# profile name -> (order of x, order of y, order of x*y, order of the quotient)
-COMPLEMENT_PROFILES: dict[str, tuple[int, int, int, int]] = {
-    "PSL2(7)": (2, 3, 7, 168),
-    "S4": (4, 3, 2, 24),
-}
 
 
 def orbit(start, generators, act, cap: int | None = None) -> set:
@@ -69,7 +69,7 @@ class Group:
     """A closed set of signed permutations with canonical indexing."""
 
     def __init__(self, elements: list[SignedPerm], generators: list[SignedPerm]):
-        self.elements: tuple[SignedPerm, ...] = tuple(sorted(elements))
+        self.elements: tuple[SignedPerm, ...] = tuple(sorted(set(elements)))
         self.generators: tuple[SignedPerm, ...] = tuple(generators)
         self.index: dict[SignedPerm, int] = {g: i for i, g in enumerate(self.elements)}
         self.degree = self.elements[0].degree
@@ -131,17 +131,9 @@ class Group:
             hist[cls.element_order] = hist.get(cls.element_order, 0) + cls.size
         return hist
 
-    def power_map(self, k: int, verify: bool = False) -> tuple[int, ...]:
+    def power_map(self, k: int) -> tuple[int, ...]:
         """Class index of g**k as a function of the class index of g."""
-        out = []
-        for cls in self.classes:
-            out.append(self.class_index(cls.representative ** k))
-        if verify:
-            for ci, cls in enumerate(self.classes):
-                for j in cls.member_indices:
-                    if self.class_index(self.elements[j] ** k) != out[ci]:
-                        raise AssertionError(f"power map {k} not constant on class {ci}")
-        return tuple(out)
+        return tuple(self.class_index(cls.representative ** k) for cls in self.classes)
 
     @cached_property
     def inverse_class(self) -> tuple[int, ...]:
@@ -181,81 +173,47 @@ def is_normal(parent: Group, sub: Group) -> bool:
     return True
 
 
-def quotient(parent: Group, normal: Group,
-             diagonal_points: list[SignedPerm] | None = None) -> Group:
-    """The quotient group, realized as a concrete permutation group.
-
-    When ``normal`` is the diagonal subgroup of order 8 at degree 7, the
-    quotient acts by conjugation on the seven nontrivial diagonal elements
-    (``diagonal_points`` fixes their labelling; canonical order by default).
-    Otherwise it is the permutation action on the right cosets of ``normal``.
+def quotient(parent: Group, normal: Group, points: list[SignedPerm]) -> Group:
+    """The quotient parent/normal, realized as the conjugation action of parent
+    on ``points``: the nontrivial elements of ``normal``, in the order that
+    labels them.  The image is the closure of the generators' actions.  The
+    action factors through the quotient; it is checked to be faithful on it
+    (order of the image times order of normal is the parent's).
     """
     if not is_normal(parent, normal):
         raise SubgroupError("quotient by a non-normal subgroup")
-    is_diag8 = (
-        parent.degree == 7 and normal.order == 8
-        and all(g.is_diagonal() for g in normal.elements)
-    )
-    if is_diag8:
-        points = diagonal_points or sorted(g for g in normal.elements if g != normal.identity)
-        if sorted(points) != sorted(g for g in normal.elements if g != normal.identity):
-            raise ValueError("diagonal_points must list the 7 nontrivial elements")
-
-        def act(g: SignedPerm) -> SignedPerm:
-            return conjugate_action(g, points)
-    else:
-        coset_key = {}
-        for g in parent.elements:
-            coset_key[g] = min((n * g).key() for n in normal.elements)
-        labels = sorted(set(coset_key.values()))
-        label_index = {k: i for i, k in enumerate(labels)}
-        rep_of = {}
-        for g in parent.elements:  # canonical order; first hit is the minimal rep
-            i = label_index[coset_key[g]]
-            rep_of.setdefault(i, g)
-
-        def act(g: SignedPerm) -> SignedPerm:
-            img = [label_index[coset_key[rep_of[i] * g]] for i in range(len(labels))]
-            return SignedPerm(tuple(img), (1,) * len(labels))
-
-    images = {act(g) for g in parent.elements}
-    result = Group(sorted(images), [act(g) for g in parent.generators])
+    if sorted(points) != sorted(g for g in normal.elements if g != normal.identity):
+        raise ValueError("points must list the nontrivial elements of the normal subgroup")
+    gens = [conjugate_action(g, points) for g in parent.generators]
+    result = Group(list(orbit(SignedPerm.identity(len(points)), gens, mul)), gens)
     if result.order * normal.order != parent.order:
-        raise AssertionError("quotient action is not faithful on cosets")
+        raise AssertionError("conjugation on points is not a faithful action of the quotient")
     return result
 
 
-def find_complement(parent: Group, normal: Group, profile: str) -> Group | None:
-    """Search for a complement of ``normal`` whose quotient matches ``profile``.
+def find_complement(parent: Group, normal: Group) -> Group | None:
+    """A complement of the normal subgroup ``normal`` in ``parent``, or None.
 
-    The scan runs over pairs (x, y) with the profile's element orders and
-    product order.  x ranges over conjugacy-class representatives only: if a
-    complement exists, conjugating it moves some generating pair onto a pair
-    whose first member is a class representative, and any conjugate of a
-    complement is again a complement, so the restricted scan is complete.
+    A complement H meets every coset of ``normal`` exactly once, so for each
+    generator g of parent outside ``normal`` it holds exactly one lift g*n with
+    n in ``normal``.  Those lifts map onto generators of parent/normal and H
+    maps isomorphically onto it, so they generate H.  Conversely, any lifts
+    generate a subgroup that maps onto parent/normal; if it has at most
+    |parent/normal| elements, it meets ``normal`` trivially and is a
+    complement.  Trying every tuple of lifts, each closure capped at
+    |parent/normal|, therefore finds a complement exactly when one exists.
     """
-    if profile not in COMPLEMENT_PROFILES:
-        raise ValueError(f"unsupported complement profile {profile!r}; "
-                         f"known: {sorted(COMPLEMENT_PROFILES)}")
-    ox, oy, oxy, qorder = COMPLEMENT_PROFILES[profile]
-    if parent.order != normal.order * qorder:
-        raise ValueError("quotient order does not match the profile")
-    normal_set = set(normal.elements)
-    xs = [c.representative for c in parent.classes if c.element_order == ox]
-    ys = [g for g in parent.elements if g.order() == oy]
-    for x in xs:
-        for y in ys:
-            if (x * y).order() != oxy:
-                continue
-            try:
-                elems = orbit(parent.identity, [x, y], mul, qorder)
-            except ClosureCapError:
-                continue
-            if len(elems) != qorder:
-                continue
-            if any(h in normal_set and h != parent.identity for h in elems):
-                continue
-            return Group(elems, [x, y])
+    if not is_normal(parent, normal):
+        raise SubgroupError("complement of a non-normal subgroup")
+    cap = parent.order // normal.order
+    outside = [g for g in parent.generators if g not in normal]
+    for ns in product(normal.elements, repeat=len(outside)):
+        lifts = [g * n for g, n in zip(outside, ns)]
+        try:
+            elems = orbit(parent.identity, lifts, mul, cap)
+        except ClosureCapError:
+            continue
+        return Group(list(elems), lifts)
     return None
 
 
@@ -269,7 +227,3 @@ def find_conjugating_element(parent: Group, sub1: Group, sub2: Group) -> SignedP
         if all((g * h) * gi in target for h in sub1.elements):
             return g
     return None
-
-
-def are_conjugate_subgroups(parent: Group, sub1: Group, sub2: Group) -> bool:
-    return find_conjugating_element(parent, sub1, sub2) is not None

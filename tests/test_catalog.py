@@ -148,16 +148,12 @@ def test_filtered_verify_builds_no_group():
 
 def test_corrupt_golden_dir_reports_failures(tmp_path):
     (tmp_path / "chartab_7_3.txt").write_text("group 7:3\norder 21\nsizes 1 2 3\n")
-    catalog.verify_all.cache_clear()
-    try:
-        report = catalog.verify_all(str(tmp_path))
-        failing = [c for c in report.claims if c.status == "fail"]
-        assert failing
-        assert any("chartab_7_3.txt" in c.computed or "chartab" in c.claim_id
-                   for c in failing)
-        assert any(c.computed.startswith("error: GoldenFileError: ") for c in failing)
-    finally:
-        catalog.verify_all.cache_clear()
+    report = catalog.verify_all(str(tmp_path))
+    failing = [c for c in report.claims if c.status == "fail"]
+    assert failing
+    assert any("chartab_7_3.txt" in c.computed or "chartab" in c.claim_id
+               for c in failing)
+    assert any(c.computed.startswith("error: GoldenFileError: ") for c in failing)
 
 
 def test_branch_child_groups_inside_parents():

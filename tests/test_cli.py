@@ -95,7 +95,10 @@ def test_verify_filter(capsys):
 
 
 def test_verify_full_exit_zero(capsys, report):
+    from octogroup import catalog
+    misses = catalog.verify_all.cache_info().misses
     code, out, _ = run_cli(capsys, "verify")
+    assert catalog.verify_all.cache_info().misses == misses
     assert code == 0
     assert "0 fail" in out
     assert "FLAG misprint.A" in out
@@ -110,16 +113,11 @@ def test_verify_json(capsys):
 
 def test_verify_corrupt_golden_dir(capsys, tmp_path):
     (tmp_path / "chartab_7_3.txt").write_text("group 7:3\norder 21\nsizes 9 9\n")
-    from octogroup import catalog
-    catalog.verify_all.cache_clear()
-    try:
-        code, out, _ = run_cli(capsys, "verify", "--golden-dir", str(tmp_path),
-                               "--filter", "chartab.7:3")
-        assert code == 1
-        assert "FAIL" in out
-        assert "chartab_7_3.txt" in out
-    finally:
-        catalog.verify_all.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--golden-dir", str(tmp_path),
+                           "--filter", "chartab.7:3")
+    assert code == 1
+    assert "FAIL" in out
+    assert "chartab_7_3.txt" in out
 
 
 def test_chartab_corrupt_golden_dir(capsys, tmp_path):

@@ -4,8 +4,8 @@ import pytest
 
 from octogroup.groups import (
     ClosureCapError,
+    Group,
     SubgroupError,
-    are_conjugate_subgroups,
     close,
     find_complement,
     find_conjugating_element,
@@ -79,11 +79,24 @@ def test_class_count_1344():
 def test_power_maps():
     group = catalog.build("2^3:7:3")
     r = len(group.classes)
-    assert group.power_map(1, verify=True) == tuple(range(r))
-    pm2 = group.power_map(2, verify=True)
+    assert group.power_map(1) == tuple(range(r))
+    for k in (1, 2, 3):
+        pm = group.power_map(k)
+        for ci, cls in enumerate(group.classes):
+            assert all(group.class_index(group.elements[j] ** k) == pm[ci]
+                       for j in cls.member_indices), (k, ci)
+    pm2 = group.power_map(2)
     for k, cls in enumerate(group.classes):
         if cls.element_order == 2:
             assert pm2[k] == 0
+
+
+def test_duplicate_elements_collapse():
+    e = SignedPerm.identity(7)
+    g = catalog.generator("delta")
+    group = Group([e, g, g], [g])
+    assert group.order == 2
+    assert sum(c.size for c in group.classes) == group.order
 
 
 def test_order_histograms():
@@ -115,14 +128,6 @@ def test_quotient_diagonal_action():
     assert len(q.classes) == 6
 
 
-def test_quotient_by_trivial():
-    g21 = catalog.build("7:3")
-    trivial = subgroup(g21, [g21.identity])
-    q = quotient(g21, trivial)
-    assert q.order == 21
-    assert sorted(c.size for c in q.classes) == sorted(c.size for c in g21.classes)
-
-
 def test_quotient_s4_relations():
     parent = catalog.build("2^3.S4")
     normal = subgroup(parent, gen("N1", "N2", "N7"))
@@ -138,33 +143,67 @@ def test_quotient_requires_normality():
     g21 = catalog.build("7:3")
     h = subgroup(g21, gen("beta"))
     with pytest.raises(SubgroupError):
-        quotient(g21, h)
+        quotient(g21, h, [x for x in h.elements if x != h.identity])
+
+
+def test_quotient_checks_points_and_faithfulness():
+    parent = catalog.build("2^3.S4")
+    normal = subgroup(parent, gen("N1", "N2", "N7"))
+    points = list(catalog.diagonal_involutions().values())
+    for wrong in (points[:-1], points[:-1] + [normal.identity]):
+        with pytest.raises(ValueError):
+            quotient(parent, normal, wrong)
+    # the diagonal 2^3 is abelian, so its conjugation action on <N1> is trivial
+    # and cannot realize the order-4 quotient 2^3/<N1>
+    diag = close(gen("N1", "N2", "N7"))
+    n1 = catalog.generator("N1")
+    with pytest.raises(AssertionError):
+        quotient(diag, subgroup(diag, [n1]), [n1])
 
 
 def test_find_complement_cases():
     split = catalog.build("2^3:PSL2(7)")
     normal = subgroup(split, gen("N1", "N2", "N7"))
-    found = find_complement(split, normal, "PSL2(7)")
+    found = find_complement(split, normal)
     assert found is not None
     assert found.order == 168
     assert set(found.elements) & set(normal.elements) == {split.identity}
 
     non = catalog.build("2^3.PSL2(7)")
     normal2 = subgroup(non, gen("N1", "N2", "N7"))
-    assert find_complement(non, normal2, "PSL2(7)") is None
+    assert find_complement(non, normal2) is None
 
     ab = catalog.build("2^3.S4")
     normal3 = subgroup(ab, gen("N1", "N2", "N7"))
-    assert find_complement(ab, normal3, "S4") is None
+    assert find_complement(ab, normal3) is None
 
-    with pytest.raises(ValueError):
-        find_complement(split, normal, "A5")
+    g21 = catalog.build("7:3")
+    found = find_complement(g21, subgroup(g21, [g21.identity]))
+    assert found is not None and found.elements == g21.elements
+    found = find_complement(g21, g21)
+    assert found is not None and found.elements == (g21.identity,)
+    with pytest.raises(SubgroupError):
+        find_complement(g21, subgroup(g21, gen("beta")))
+
+
+def test_find_complement_any_generating_lift():
+    """The search starts from the parent's generators, whatever lift of the
+    quotient generator A-tilde they hold."""
+    split = catalog.build("2^3:S4")
+    normal_gens = gen("N1", "N2", "N7")
+    for m in close(normal_gens).elements:
+        parent = close([catalog.generator("A_t") * m, catalog.generator("B_t")] + normal_gens)
+        assert parent.elements == split.elements
+        normal = subgroup(parent, normal_gens)
+        found = find_complement(parent, normal)
+        assert found is not None and found.order == 24
+        assert set(found.elements) & set(normal.elements) == {parent.identity}
 
 
 def test_conjugate_subgroups():
     parent = catalog.build("2^3:PSL2(7)")
     h1 = catalog.build("PSL2(7)")
-    assert are_conjugate_subgroups(parent, h1, h1)
+    assert find_conjugating_element(parent, h1, h1) is not None
     rng = random.Random(12)
     g = parent.elements[rng.randrange(parent.order)]
     moved = close([conjugate(x, g) for x in h1.generators])
