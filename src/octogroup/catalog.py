@@ -266,7 +266,8 @@ def choose_alignments(golden_dir: str | None = None) -> dict[str, gold.Alignment
 
 
 def alignment(name: str, golden_dir: str | None = None) -> gold.Alignment:
-    return choose_alignments(golden_dir)[name]
+    """The chosen alignment of a roster group; "" shares the packaged data's caches."""
+    return choose_alignments(golden_dir or None)[name]
 
 
 # -- verification report --------------------------------------------------------

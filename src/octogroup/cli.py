@@ -120,6 +120,8 @@ def cmd_branch(args) -> int:
 
 def cmd_verify(args) -> int:
     report = catalog.verify_all(args.golden_dir, args.filter)
+    if not report.claims:
+        return _fail_usage(f"no claim id contains {args.filter!r}")
     if args.format == "json":
         print(report.to_json())
     else:
@@ -152,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        # "" also means the packaged data, so it shares the caches of None
-        p.add_argument("--golden-dir", default=None, type=lambda path: path or None,
+        p.add_argument("--golden-dir", default=None,
                        help="directory of reference tables (defaults to packaged data)")
 
     p = sub.add_parser("chartab", help="print a character table")

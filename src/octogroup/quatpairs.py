@@ -8,12 +8,14 @@ h -> p h q and preserving V0 form a group of order 192 (after identifying
 = (e7, e4, e5, e6) yields degree-7 signed permutations.
 
 The 48 elements are indexed once (``quaternion_index``): a fixed order, the
-negation map, the sign ``QuaternionPair.of`` canonicalizes on, and a 48 x 48
-product table.  Each table entry is an exact ``Quaternion`` product looked up
-in the group, so a product outside the group raises KeyError.  A pair [p, q]
-is then the canonical index pair (index of p, index of q), and the checks
-over all coset products, all 192 x 192 pair products and the pair involutions
-read products off the table instead of recomputing them over Q(sqrt(2)).
+coset label, negation and inverse maps, the sign ``QuaternionPair.of``
+canonicalizes on, and a 48 x 48 product table.  Each table entry is an exact
+``Quaternion`` product looked up in the group, so a product outside the group
+raises KeyError; no other code multiplies quaternions.  A pair [p, q] is the
+canonical index pair (index of p, index of q).  The pair group, the degree-7
+images, the coset check and the checks over all 192 x 192 pair products and
+the pair involutions all read products off the table.  ``QuaternionPair``
+keeps the exact form as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -161,16 +163,16 @@ def coset_product(s: str, t: str) -> str:
 
 def verify_coset_table() -> bool:
     """Compare the coset of each of the 48 x 48 elementwise products with the table."""
-    group = binary_octahedral()
     index = quaternion_index()
-    label = [group[q] for q in index.elements]
+    label = index.label
     return all(label[k] == COSET_TABLE[(label[i], label[j])]
                for i, row in enumerate(index.mul) for j, k in enumerate(row))
 
 
 @dataclass(frozen=True)
 class QuaternionPair:
-    """The SO(4) element h -> p h q, stored with the sign of p canonicalized."""
+    """The SO(4) element h -> p h q, stored with the sign of p canonicalized:
+    the exact form of an index pair, kept as the reference for tests."""
 
     p: Quaternion
     q: Quaternion
@@ -189,13 +191,6 @@ class QuaternionPair:
         """Apply self first, then other: h -> p' (p h q) q'."""
         return QuaternionPair.of(other.p * self.p, self.q * other.q)
 
-    def __lt__(self, other: "QuaternionPair") -> bool:
-        return _pair_key(self) < _pair_key(other)
-
-
-def _pair_key(g: QuaternionPair):
-    return tuple((c.a, c.b) for c in g.p.coeffs + g.q.coeffs)
-
 
 IndexPair = tuple[int, int]
 
@@ -204,12 +199,20 @@ class QuaternionIndex:
     """The binary octahedral group in the order of ``binary_octahedral()``."""
 
     def __init__(self) -> None:
-        self.elements: tuple[Quaternion, ...] = tuple(binary_octahedral())
+        group = binary_octahedral()
+        self.elements: tuple[Quaternion, ...] = tuple(group)
+        self.label: tuple[str, ...] = tuple(group.values())
         self.position: dict[Quaternion, int] = {q: i for i, q in enumerate(self.elements)}
         self.neg: tuple[int, ...] = tuple(self.position[-q] for q in self.elements)
+        self.inverse: tuple[int, ...] = tuple(self.position[q.conjugate()] for q in self.elements)
         # QuaternionPair.of keeps [p, q] when the first nonzero coefficient of p is positive
         self.positive: tuple[bool, ...] = tuple(
             next(s for s in (c.sign() for c in q.coeffs) if s) > 0 for q in self.elements)
+        # basis[i] is the index of e_i (e_0 = 1); units maps the index of +-e_i to (i, +-1)
+        self.basis: tuple[int, ...] = tuple(self.position[Quaternion.unit(i)] for i in range(4))
+        self.units: dict[int, tuple[int, int]] = {
+            **{e: (i, 1) for i, e in enumerate(self.basis)},
+            **{self.neg[e]: (i, -1) for i, e in enumerate(self.basis)}}
 
     @cached_property
     def mul(self) -> tuple[tuple[int, ...], ...]:
@@ -221,13 +224,10 @@ class QuaternionIndex:
         """The canonical index pair of [elements[p], elements[q]]."""
         return (p, q) if self.positive[p] else (self.neg[p], self.neg[q])
 
-    def pair_of(self, g: QuaternionPair) -> IndexPair:
-        return self.position[g.p], self.position[g.q]
-
     def unit_pair(self, i: int, sign: int = 1) -> IndexPair:
         """The index pair of [e_i, sign * e_i], where e_0 = 1."""
-        e = Quaternion.unit(i)
-        return self.pair(self.position[e], self.position[e if sign > 0 else -e])
+        e = self.basis[i]
+        return self.pair(e, e if sign > 0 else self.neg[e])
 
     def pair_product(self, a: IndexPair, b: IndexPair) -> IndexPair:
         """Index form of ``QuaternionPair.__mul__``: apply a first, then b."""
@@ -241,58 +241,31 @@ def quaternion_index() -> QuaternionIndex:
 
 
 @lru_cache(maxsize=1)
-def pair_group() -> tuple[QuaternionPair, ...]:
-    """The 192 pairs [p, q] preserving V0, from the six coset pairings."""
-    group = binary_octahedral()
-    members: dict[str, list[Quaternion]] = {name: [] for name in COSET_NAMES}
-    for q, label in group.items():
-        members[label].append(q)
-    pairs = set()
-    for p_label, q_label in PAIRED_COSET.items():
-        for p in members[p_label]:
-            for q in members[q_label]:
-                pairs.add(QuaternionPair.of(p, q))
-    assert len(pairs) == 192
-    return tuple(sorted(pairs))
+def pair_group() -> tuple[IndexPair, ...]:
+    """The 192 canonical index pairs [p, q] preserving V0: each p whose canonical
+    sign is positive, with each q in the coset paired with the coset of p."""
+    index = quaternion_index()
+    label = index.label
+    return tuple((p, q) for p in range(len(label)) if index.positive[p]
+                 for q in range(len(label)) if label[q] == PAIRED_COSET[label[p]])
 
 
 _FOUR_BLOCK = (7, 4, 5, 6)  # octonion indices of e7 * (1, e1, e2, e3)
 
 
-def _unit_form(q: Quaternion) -> tuple[int, int] | None:
-    """(basis index, sign) when q = +-(basis quaternion), else None."""
-    idx = None
-    for i, c in enumerate(q.coeffs):
-        if not c.is_zero():
-            if idx is not None:
-                return None
-            idx = i
-    if idx is None:
-        return None
-    c = q.coeffs[idx]
-    if c == QUAD_ONE:
-        return idx, 1
-    if c == -QUAD_ONE:
-        return idx, -1
-    return None
-
-
-def pair_to_signedperm7(g: QuaternionPair) -> SignedPerm:
-    """Degree-7 signed permutation of the pair: conjugation by p on (e1, e2, e3)
-    and h -> p h q on the block (e7, e4, e5, e6)."""
+def pair_to_signedperm7(pair: IndexPair) -> SignedPerm:
+    """Degree-7 signed permutation of the index pair [p, q]: conjugation by p on
+    (e1, e2, e3) and h -> p h q on the block (e7, e4, e5, e6), read off the table."""
+    index = quaternion_index()
+    mul, basis, units = index.mul, index.basis, index.units
+    p, q = pair
     img = [0] * 7
     sgn = [1] * 7
-    pc = g.p.conjugate()
     for i in (1, 2, 3):
-        r = g.p * Quaternion.unit(i) * pc
-        unit = _unit_form(r)
-        if unit is None or unit[0] == 0:
-            raise ValueError("pair does not act monomially on the quaternion units")
-        img[i - 1] = unit[0] - 1
-        sgn[i - 1] = unit[1]
+        k, sgn[i - 1] = units[mul[mul[p][basis[i]]][index.inverse[p]]]
+        img[i - 1] = k - 1
     for i, oct_idx in enumerate(_FOUR_BLOCK):
-        r = g.p * Quaternion.unit(i) * g.q
-        unit = _unit_form(r)
+        unit = units.get(mul[mul[p][basis[i]]][q])
         if unit is None:
             raise ValueError("pair does not preserve the quaternion group V0")
         img[oct_idx - 1] = _FOUR_BLOCK[unit[0]] - 1
@@ -302,9 +275,8 @@ def pair_to_signedperm7(g: QuaternionPair) -> SignedPerm:
 
 @lru_cache(maxsize=1)
 def pair_images() -> dict[IndexPair, SignedPerm]:
-    """The degree-7 image of each pair of ``pair_group()``, keyed by index pair."""
-    index = quaternion_index()
-    return {index.pair_of(g): pair_to_signedperm7(g) for g in pair_group()}
+    """The degree-7 image of each pair of ``pair_group()``."""
+    return {pair: pair_to_signedperm7(pair) for pair in pair_group()}
 
 
 def is_homomorphism(images: dict[IndexPair, SignedPerm]) -> bool:

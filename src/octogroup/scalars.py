@@ -343,18 +343,6 @@ class Cyclotomic:
             return Cyclotomic.zero()
         return Cyclotomic(self.conductor, tuple((e, q * c) for e, c in self.coeffs))
 
-    def __pow__(self, k: int) -> "Cyclotomic":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Cyclotomic.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def galois(self, a: int) -> "Cyclotomic":
         """The automorphism zeta_n -> zeta_n^a (a coprime to the conductor)."""
         n = self.conductor

@@ -133,13 +133,15 @@ class SignedPerm:
     # -- text notation ------------------------------------------------------
 
     _TOKEN = re.compile(r"-?e\d+")
+    _CYCLES = re.compile(r"(\s*\([^()]*\))*\s*")
 
     @staticmethod
     def parse(text: str, degree: int = 7) -> "SignedPerm":
         """Parse signed-cycle notation like ``(e1 -e5)(e2 -e3 e4 -e7 -e2 e3 -e4 e7)``.
 
         Each listed signed point maps to the next in its cycle (the last wraps
-        to the first); unmentioned points are fixed with sign +1.  Listing both
+        to the first); unmentioned points are fixed with sign +1.  Only
+        whitespace may stand between and around the cycles.  Listing both
         signed orbits of one underlying point is allowed when consistent.
         """
         mapping: dict[int, tuple[int, int]] = {}
@@ -150,12 +152,9 @@ class SignedPerm:
                 raise ValueError(f"inconsistent images for point {i + 1}")
             mapping[i] = target
 
-        body = text.strip()
-        if body in ("", "()"):
-            return SignedPerm.identity(degree)
-        if body.count("(") != body.count(")"):
-            raise ValueError("unbalanced parentheses")
-        for cycle in re.findall(r"\(([^()]*)\)", body):
+        if not SignedPerm._CYCLES.fullmatch(text):
+            raise ValueError(f"not a product of cycles: {text!r}")
+        for cycle in re.findall(r"\(([^()]*)\)", text):
             entries = []
             for token in cycle.replace(",", " ").split():
                 if not SignedPerm._TOKEN.fullmatch(token):

@@ -104,6 +104,15 @@ def test_verify_full_exit_zero(capsys, report):
     assert "FLAG misprint.A" in out
 
 
+def test_verify_filter_matching_nothing(capsys):
+    code, out, err = run_cli(capsys, "verify", "--filter", "nosuchclaim")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no claim id contains 'nosuchclaim'\n"
+    code, out, _ = run_cli(capsys, "verify", "--format", "json", "--filter", "nosuchclaim")
+    assert (code, out) == (2, "")
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--format", "json", "--filter", "orders.")
     assert code == 0
@@ -138,6 +147,8 @@ def test_empty_golden_dir_means_packaged_data(capsys):
     code, out, err = run_cli(capsys, "chartab", "7:3", "--golden-dir", "")
     assert code == 0, err
     assert out == default
+    assert [fn.cache_info().misses for fn in cached] == misses
+    assert catalog.alignment("7:3", "") is catalog.alignment("7:3")
     assert [fn.cache_info().misses for fn in cached] == misses
 
 

@@ -6,6 +6,7 @@ import pytest
 from octogroup.octonion import is_algebra_automorphism
 from octogroup.quatpairs import (
     COSET_NAMES,
+    PAIRED_COSET,
     Quaternion,
     QuaternionPair,
     binary_octahedral,
@@ -81,8 +82,25 @@ def test_closure_and_identity_coset():
             assert a * b in group
 
 
+def _exact(pair):
+    index = quaternion_index()
+    return QuaternionPair(index.elements[pair[0]], index.elements[pair[1]])
+
+
+def _indexed(g):
+    index = quaternion_index()
+    return index.position[g.p], index.position[g.q]
+
+
 def test_pair_group_size():
-    assert len(pair_group()) == 192
+    pairs = pair_group()
+    assert len(pairs) == 192
+    # the same set as canonicalizing every exact pair of paired cosets
+    members = {name: [q for q, label in binary_octahedral().items() if label == name]
+               for name in COSET_NAMES}
+    exact = {_indexed(QuaternionPair.of(p, q)) for p_label, q_label in PAIRED_COSET.items()
+             for p in members[p_label] for q in members[q_label]}
+    assert set(pairs) == exact
 
 
 def test_pair_canonicalization():
@@ -91,19 +109,43 @@ def test_pair_canonicalization():
 
 
 def test_pair_images():
-    one = Quaternion.unit(0)
-    assert pair_to_signedperm7(QuaternionPair.of(one, one)) == SignedPerm.identity(7)
+    index = quaternion_index()
+    assert pair_to_signedperm7(index.unit_pair(0)) == SignedPerm.identity(7)
     n1 = catalog.generator("N1")
-    assert pair_to_signedperm7(QuaternionPair.of(one, -one)) == n1
+    assert pair_to_signedperm7(index.unit_pair(0, -1)) == n1
+    one = index.basis[0]
+    with pytest.raises(ValueError):
+        pair_to_signedperm7((one, index.label.index("V+")))
+
+
+def _exact_unit(q):
+    """(basis index, sign) of q = +-e_i."""
+    (i, c), = [(i, c) for i, c in enumerate(q.coeffs) if not c.is_zero()]
+    assert c in (QuadSqrt2.of(1), QuadSqrt2.of(-1))
+    return i, c.sign()
+
+
+def test_images_match_exact_products():
+    four_block = (6, 3, 4, 5)  # 0-based octonion points of e7 * (1, e1, e2, e3)
+    for pair in pair_group():
+        g = _exact(pair)
+        img, sgn = [0] * 7, [1] * 7
+        for i in (1, 2, 3):
+            k, sgn[i - 1] = _exact_unit(g.p * Quaternion.unit(i) * g.p.conjugate())
+            img[i - 1] = k - 1
+        for i, point in enumerate(four_block):
+            k, sgn[point] = _exact_unit(g.p * Quaternion.unit(i) * g.q)
+            img[point] = four_block[k]
+        assert pair_to_signedperm7(pair) == SignedPerm(tuple(img), tuple(sgn)), pair
 
 
 def test_homomorphism_sample():
     rng = random.Random(0)
-    pairs = pair_group()
-    sample = rng.sample(pairs, 16)
+    sample = rng.sample(pair_group(), 16)
     for a in sample:
         for b in sample:
-            assert pair_to_signedperm7(a * b) == pair_to_signedperm7(a) * pair_to_signedperm7(b)
+            ab = _indexed(_exact(a) * _exact(b))
+            assert pair_to_signedperm7(ab) == pair_to_signedperm7(a) * pair_to_signedperm7(b)
 
 
 def test_image_is_automorphism_group():
@@ -142,9 +184,9 @@ def test_index_pair_product_matches_pair_product():
     pairs = pair_group()
     for _ in range(200):
         a, b = rng.choice(pairs), rng.choice(pairs)
-        assert index.pair_product(index.pair_of(a), index.pair_of(b)) == index.pair_of(a * b)
+        assert index.pair_product(a, b) == _indexed(_exact(a) * _exact(b))
     one = Quaternion.unit(0)
-    assert index.unit_pair(0, -1) == index.pair_of(QuaternionPair.of(-one, one))
+    assert index.unit_pair(0, -1) == _indexed(QuaternionPair.of(-one, one))
 
 
 def test_homomorphism_check_detects_one_flipped_sign():
