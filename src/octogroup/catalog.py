@@ -12,6 +12,13 @@ both forced by the surrounding structure and reported as flagged claims:
   group; the unique involution with underlying permutation (1 5)(3 7) that
   completes alpha-tilde and beta-tilde to a second complement is
   gamma-tilde composed with N6, whence gamma-tilde * delta = N6 (not N7).
+
+Table alignments are tied together only by the branching reference lists, so
+they are chosen per connected component of the branching graph
+(``COMPONENTS``): {7:3, 2^3:7:3, 2^3.PSL2(7)}, {7:3-split, 2^3:7:3-split,
+2^3:PSL2(7), PSL2(7)}, and the singletons PSL2(7)-second, 4.S4:2, 2^3:S4,
+2^3.S4, 4:S4:2 and 2^3.S4-pairs.  A query on one group builds, tables and
+reads the reference files of its component only.
 """
 
 from __future__ import annotations
@@ -218,11 +225,35 @@ def branch_matrix(parent: str, child_roster: str) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(row) for row in branch(table(parent), table(child_roster)))
 
 
+def _swap_ends(name: str, edge: tuple[str, str]) -> str:
+    """The other end of edge when name is one of its ends, else name."""
+    a, b = edge
+    return b if name == a else a if name == b else name
+
+
+_BRANCH_EDGES = tuple((parent, child) for (parent, _), child in BRANCH_CHILD_ROSTER.items())
+
+# The connected components of the branching graph on roster names, each in
+# roster order, ordered by their first member.  Alignments in different
+# components never constrain each other.
+COMPONENTS: tuple[tuple[str, ...], ...] = tuple(dict.fromkeys(
+    tuple(n for n in ROSTER if n in orbit(name, _BRANCH_EDGES, _swap_ends))
+    for name in ROSTER))
+COMPONENT_OF: dict[str, tuple[str, ...]] = {n: c for c in COMPONENTS for n in c}
+
+
 @lru_cache(maxsize=None)
-def choose_alignments(golden_dir: str | None = None) -> dict[str, gold.Alignment]:
-    """One alignment per roster table, jointly consistent with every branching
-    reference list (backtracking over the per-table candidates)."""
-    names = list(ROSTER)
+def choose_alignments(golden_dir: str | None = None,
+                      component: tuple[str, ...] | None = None) -> dict[str, gold.Alignment]:
+    """One alignment per table of a component of the branching graph, jointly
+    consistent with every branching reference list among its groups
+    (backtracking over the per-table candidates in roster order).  Without a
+    component, every roster table, merged from the per-component results:
+    backtracking picks each component independently, so this is the
+    whole-roster search's first solution."""
+    if component is None:
+        return {n: alignment(n, golden_dir) for n in ROSTER}
+    names = list(component)
     candidates = {n: _alignment_candidates(n, golden_dir) for n in names}
     for n in names:
         if not candidates[n]:
@@ -230,6 +261,8 @@ def choose_alignments(golden_dir: str | None = None) -> dict[str, gold.Alignment
 
     constraints = []
     for (parent, child), branch_file in BRANCH_PAIRS.items():
+        if parent not in component:
+            continue
         child_roster = BRANCH_CHILD_ROSTER[(parent, child)]
         lines = gold.load_branch_lines(_reference_path(branch_file, golden_dir))
         matrix = [list(r) for r in branch_matrix(parent, child_roster)]
@@ -261,13 +294,15 @@ def choose_alignments(golden_dir: str | None = None) -> dict[str, gold.Alignment
         return False
 
     if not backtrack(0):
-        raise BuildError("no jointly consistent set of table alignments exists")
+        raise BuildError("no jointly consistent set of table alignments exists for "
+                         + ", ".join(component))
     return dict(chosen)
 
 
 def alignment(name: str, golden_dir: str | None = None) -> gold.Alignment:
-    """The chosen alignment of a roster group; "" shares the packaged data's caches."""
-    return choose_alignments(golden_dir or None)[name]
+    """The chosen alignment of a roster group, from its component's search only;
+    "" shares the packaged data's caches."""
+    return choose_alignments(golden_dir or None, COMPONENT_OF[name])[name]
 
 
 # -- verification report --------------------------------------------------------

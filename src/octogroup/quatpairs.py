@@ -65,9 +65,6 @@ class Quaternion:
         coeffs[i] = QUAD_ONE
         return Quaternion(tuple(coeffs))
 
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(tuple(-a for a in self.coeffs))
 
@@ -99,11 +96,6 @@ class Quaternion:
         for c in self.coeffs:
             total = total + c * c
         return total
-
-    def __str__(self) -> str:
-        names = ("1", "e1", "e2", "e3")
-        parts = [f"({c})*{n}" for c, n in zip(self.coeffs, names) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
 
 
 _QTAB = {}

@@ -69,6 +69,50 @@ def test_choose_alignments_consistent():
     assert set(chosen) == set(catalog.ROSTER)
 
 
+def test_components_of_branching_graph():
+    assert catalog.COMPONENTS == (
+        ("7:3", "2^3:7:3", "2^3.PSL2(7)"),
+        ("7:3-split", "2^3:7:3-split", "2^3:PSL2(7)", "PSL2(7)"),
+        ("PSL2(7)-second",), ("4.S4:2",), ("2^3:S4",), ("2^3.S4",), ("4:S4:2",),
+        ("2^3.S4-pairs",),
+    )
+    assert all(catalog.COMPONENT_OF[n] == c for c in catalog.COMPONENTS for n in c)
+
+
+def test_whole_roster_alignments_merge_components():
+    chosen = catalog.choose_alignments(None)
+    assert list(chosen) == list(catalog.ROSTER)
+    assert chosen == {n: catalog.alignment(n) for n in catalog.ROSTER}
+    for n in catalog.ROSTER:
+        assert catalog.alignment(n) is catalog.choose_alignments(None, catalog.COMPONENT_OF[n])[n]
+
+
+_QUERY_BUILDS = (
+    "import contextlib, io, json, sys\n"
+    "from octogroup import catalog, cli, quatpairs\n"
+    "build, built = catalog.build, []\n"
+    "catalog.build = lambda name: built.append(name) or build(name)\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.main(['chartab', sys.argv[1]]) == 0\n"
+    "print(json.dumps({'built': sorted(set(built)), 'misses': build.cache_info().misses,\n"
+    "                  'quaternion_index': quatpairs.quaternion_index.cache_info().currsize}))\n"
+)
+
+
+@pytest.mark.parametrize("name", ["2^3.S4", "7:3"])
+def test_one_table_query_builds_only_its_component(name):
+    """A cold chartab query aligns only the branching component of its group,
+    so it builds those groups alone; a fresh process starts with empty caches."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", _QUERY_BUILDS, name], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    component = catalog.COMPONENT_OF[name]
+    assert json.loads(result.stdout) == {"built": sorted(component), "misses": len(component),
+                                         "quaternion_index": 0}
+
+
 def test_verify_report_no_failures(report):
     assert report.failures == []
     assert len(report.claims) == 90

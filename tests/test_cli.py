@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from octogroup import catalog
 from octogroup.cli import main
+from octogroup.golden import DATA_DIR
 
 
 def run_cli(capsys, *argv):
@@ -95,7 +97,6 @@ def test_verify_filter(capsys):
 
 
 def test_verify_full_exit_zero(capsys, report):
-    from octogroup import catalog
     misses = catalog.verify_all.cache_info().misses
     code, out, _ = run_cli(capsys, "verify")
     assert catalog.verify_all.cache_info().misses == misses
@@ -138,8 +139,35 @@ def test_chartab_corrupt_golden_dir(capsys, tmp_path):
     assert "chartab_7_3.txt" in err
 
 
+def test_query_reads_only_its_component_references(capsys, tmp_path):
+    """PSL2(7)-second is alone in its branching component, so its query needs
+    its own reference table and no branching or other table file."""
+    (tmp_path / "chartab_psl2_7.txt").write_bytes((DATA_DIR / "chartab_psl2_7.txt").read_bytes())
+    code, packaged, _ = run_cli(capsys, "chartab", "PSL2(7)-second")
+    assert code == 0
+    code, out, err = run_cli(capsys, "chartab", "PSL2(7)-second", "--golden-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out == packaged
+
+
+def test_inconsistent_component_names_its_groups(capsys, tmp_path):
+    """A branching list that no alignment reproduces fails the queries of its
+    own component only, and the error names that component's groups."""
+    for f in DATA_DIR.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    branch = tmp_path / "branch_psl2_7_to_7_3.txt"
+    branch.write_text(branch.read_text().replace("\n1 -> 1\n", "\n1 -> 1_1\n"))
+    code, out, err = run_cli(capsys, "chartab", "PSL2(7)", "--golden-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: no jointly consistent set of table alignments exists for "
+                   "7:3-split, 2^3:7:3-split, 2^3:PSL2(7), PSL2(7)\n")
+    code, packaged, _ = run_cli(capsys, "chartab", "7:3")
+    code, out, err = run_cli(capsys, "chartab", "7:3", "--golden-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out == packaged
+
+
 def test_empty_golden_dir_means_packaged_data(capsys):
-    from octogroup import catalog
     code, default, _ = run_cli(capsys, "chartab", "7:3")
     assert code == 0
     cached = (catalog._alignment_candidates, catalog._golden_table, catalog.choose_alignments)
