@@ -372,15 +372,25 @@ def _diag_name(g: SignedPerm) -> str:
     return str(g)
 
 
-@lru_cache(maxsize=None)
 def verify_all(golden_dir: str | None = None, pattern: str | None = None) -> VerificationReport:
     """Evaluate the recorded claims whose id contains pattern (every claim when
-    pattern is None), in report order, and return the structured report."""
+    pattern is None or empty), in report order, and return the structured
+    report.  An empty golden_dir means the packaged data, as None does; equal
+    requests share one cache entry, whichever way they are spelled."""
+    return _report(golden_dir or None, pattern or None)
+
+
+@lru_cache(maxsize=None)
+def _report(golden_dir: str | None, pattern: str | None) -> VerificationReport:
     rep = VerificationReport()
     for claim_id, description, expected, check in _claims(golden_dir):
         if pattern is None or pattern in claim_id:
             rep.run(claim_id, description, expected, check)
     return rep
+
+
+verify_all.cache_info = _report.cache_info
+verify_all.cache_clear = _report.cache_clear
 
 
 def _claims(golden_dir: str | None):

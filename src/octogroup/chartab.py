@@ -6,6 +6,14 @@ GF(p) with p = 1 (mod exponent) and p > 2*floor(sqrt(|G|)), and the
 eigenvalue data is lifted back to exact cyclotomic character values through
 discrete logarithms against a fixed primitive root.  Every table is checked
 against both orthogonality relations before it is returned.
+
+A table keeps each row's values mod p (``CharacterTable.residues``), the
+image of the exact row under one ring map Z[zeta_e] -> GF(p).  Tensor-product
+multiplicities are computed there (Dixon 1967): an integer m with
+0 <= m <= floor(sqrt|G|) < p/2 is its own residue mod p, and p does not
+divide |G| because p = 1 (mod exponent), so |G|^-1 exists mod p.  Inner
+products, decompositions of arbitrary class functions, branching matrices and
+Frobenius-Schur indicators stay exact over the cyclotomics.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from .groups import Group, ConjugacyClass
 from .scalars import Cyclotomic, prime_factors
@@ -201,12 +210,18 @@ class CharacterRow:
 
 
 class CharacterTable:
-    """Irreducible characters of a group, rows sorted by (degree, values)."""
+    """Irreducible characters of a group, rows sorted by (degree, values).
 
-    def __init__(self, group: Group, rows: tuple[CharacterRow, ...], prime: int):
+    residues[i][k] is rows[i].values[k] mod prime, under the ring map
+    Z[zeta_e] -> GF(prime) that sends zeta_e to z^((prime-1)/e) for the
+    smallest primitive root z (e the group exponent)."""
+
+    def __init__(self, group: Group, rows: tuple[CharacterRow, ...], prime: int,
+                 residues: tuple[tuple[int, ...], ...]):
         self.group = group
         self.rows = rows
         self.prime = prime
+        self.residues = residues
 
     @property
     def classes(self) -> tuple[ConjugacyClass, ...]:
@@ -248,22 +263,21 @@ def character_table(group: Group) -> CharacterTable:
     if any(s.dim != 1 for s in subspaces):
         raise SplitFailure("common eigenspaces did not all reach dimension 1")
 
-    rows = []
-    seen = set()
+    lifted = {}
     for space in subspaces:
         w = space.rows[0]
         if w[0] == 0:
             raise SplitFailure("eigenvector vanishes at the identity class")
         scale = pow(w[0], p - 2, p)
         w = [(x * scale) % p for x in w]
-        row = _lift_row(group, w, p)
-        key = tuple(str(v) for v in row.values)
-        if key in seen:
+        row, residues = _lift_row(group, w, p)
+        key = (row.degree, tuple(str(v) for v in row.values))
+        if key in lifted:
             raise SplitFailure("duplicate character row")
-        seen.add(key)
-        rows.append(row)
-    rows.sort(key=lambda row: (row.degree, tuple(str(v) for v in row.values)))
-    table = CharacterTable(group, tuple(rows), p)
+        lifted[key] = (row, residues)
+    ordered = [lifted[key] for key in sorted(lifted)]
+    table = CharacterTable(group, tuple(row for row, _ in ordered), p,
+                           tuple(residues for _, residues in ordered))
     _check_table(table)
     return table
 
@@ -280,7 +294,8 @@ def _power_classes(group: Group, k: int) -> list[int]:
     return out
 
 
-def _lift_row(group: Group, w: list[int], p: int) -> CharacterRow:
+def _lift_row(group: Group, w: list[int], p: int) -> tuple[CharacterRow, tuple[int, ...]]:
+    """The row of the eigenvector w (w[0] = 1), and its values mod p."""
     classes = group.classes
     r = len(classes)
     inv_class = group.inverse_class
@@ -322,7 +337,7 @@ def _lift_row(group: Group, w: list[int], p: int) -> CharacterRow:
         if _reduce_mod_p(value, theta, m, p) != chi_mod[k]:
             raise SplitFailure("cyclotomic lift does not reduce back mod p")
         values.append(value)
-    return CharacterRow(degree, tuple(values))
+    return CharacterRow(degree, tuple(values)), tuple(chi_mod)
 
 
 def _reduce_mod_p(value: Cyclotomic, theta: int, m: int, p: int) -> int:
@@ -403,13 +418,30 @@ def decompose(chi: CharacterRow, table: CharacterTable) -> list[int]:
 
 
 def tensor_decompose(table: CharacterTable, i: int, j: int) -> list[int]:
-    """Decomposition of irrep_i (x) irrep_j as multiplicities over the table."""
-    chi, psi = table.rows[i], table.rows[j]
-    product = CharacterRow(
-        chi.degree * psi.degree,
-        tuple(a * b for a, b in zip(chi.values, psi.values)),
-    )
-    return decompose(product, table)
+    """Decomposition of irrep_i (x) irrep_j as multiplicities over the table.
+
+    Computed from the rows' residues mod the Dixon prime p:
+    m_k = |G|^-1 sum_c |C_c| r_i[c] r_j[c] r_k[c^-1] mod p, summed here as
+    sum_c u[c] r_k[c] with u[c] = |G|^-1 |C_c| r_i[c^-1] r_j[c^-1] (inversion
+    permutes the classes and keeps their sizes).  The true m_k is an integer
+    with 0 <= m_k <= min(d_i, d_j, d_k) <= floor(sqrt|G|) < p/2, so the residue
+    is m_k itself.
+    """
+    group, p, residues = table.group, table.prime, table.residues
+    degrees = table.degrees()
+    if 2 * isqrt(group.order) >= p:
+        raise ValueError(f"prime {p} does not exceed 2*floor(sqrt({group.order}))")
+    ri, rj = residues[i], residues[j]
+    scale = pow(group.order, -1, p)
+    u = [cls.size * ri[c] * rj[c] * scale % p
+         for cls, c in zip(group.classes, group.inverse_class)]
+    mults = [sum(map(mul, u, rk)) % p for rk in residues]
+    bound = min(degrees[i], degrees[j])
+    if any(m > min(bound, d) for m, d in zip(mults, degrees)):
+        raise ValueError("tensor multiplicity exceeds the degree bound")
+    if sum(m * d for m, d in zip(mults, degrees)) != degrees[i] * degrees[j]:
+        raise ValueError("decomposition does not preserve the dimension")
+    return mults
 
 
 def class_fusion(parent: Group, child: Group) -> list[int]:

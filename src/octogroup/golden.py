@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
 from pathlib import Path
@@ -323,14 +322,6 @@ def render_terms(terms: tuple[tuple[str, int], ...], label_order: list[str]) -> 
     return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
-def _tensor_mults(table: CharacterTable, i: int, j: int) -> tuple[int, ...]:
-    """tensor_decompose(table, i, j), computed once per table and pair {i, j}."""
-    if i > j:
-        return _tensor_mults(table, j, i)
-    return tuple(tensor_decompose(table, i, j))
-
-
 @dataclass(frozen=True)
 class LineCheck:
     line: str
@@ -345,7 +336,7 @@ def check_tensor_lines(alignment: Alignment, lines: list[ProductLine]) -> list[L
     for line in lines:
         i = alignment.irrep_index(line.left)
         j = alignment.irrep_index(line.right)
-        computed = multiset_from_multiplicities(_tensor_mults(table, i, j), alignment)
+        computed = multiset_from_multiplicities(tensor_decompose(table, i, j), alignment)
         results.append(LineCheck(
             line.raw,
             computed == line.terms,
@@ -378,24 +369,46 @@ def find_tensor_relabeling(alignment: Alignment,
     if total > 10**5:
         raise GoldenFileError(f"too many candidate relabelings ({total})")
 
-    checked = [line for line in lines if not line.flagged]
+    # every candidate reads the same products of rows, so decompose each once;
+    # products[i, j] lists the (row, multiplicity) terms of irrep_i (x) irrep_j
+    products: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i in range(len(degrees)):
+        for j in range(i, len(degrees)):
+            products[i, j] = products[j, i] = [
+                (k, m) for k, m in enumerate(tensor_decompose(table, i, j)) if m]
+
+    # Candidates assign rows to the labels one degree at a time, in the order
+    # of itertools.product over the degrees' permutations.  A line is checked
+    # as soon as every label it names has a row, and a partial assignment that
+    # fails it is not extended, so the first full match is still the first in
+    # that order.
     degs = sorted(by_degree)
-    for combo in product(*(permutations(by_degree[d]) for d in degs)):
-        label_to_row = {}
-        for d, perm in zip(degs, combo):
-            for lab, row in zip(labels_by_degree[d], perm):
-                label_to_row[lab] = row
-        row_to_label = {r: lab for lab, r in label_to_row.items()}
-        ok = True
-        for line in checked:
-            got = tuple(sorted((row_to_label[k], m) for k, m in
-                               enumerate(_tensor_mults(table, label_to_row[line.left],
-                                                       label_to_row[line.right])) if m))
-            if got != line.terms:
-                ok = False
-                break
-        if ok:
-            return {lab: alignment.row_to_label[row] for lab, row in label_to_row.items()}
+    depth_of = {lab: degs.index(d) for lab, d in label_degree.items()}
+    ready: list[list[ProductLine]] = [[] for _ in degs]
+    for line in lines:
+        if line.flagged:
+            continue
+        if any(lab not in depth_of for lab, _ in line.terms):
+            return None
+        names = [line.left, line.right, *(lab for lab, _ in line.terms)]
+        ready[max(depth_of[lab] for lab in names)].append(line)
+
+    label_to_row: dict[str, int] = {}
+
+    def extend(depth: int) -> bool:
+        if depth == len(degs):
+            return True
+        labels = labels_by_degree[degs[depth]]
+        for perm in permutations(by_degree[degs[depth]]):
+            label_to_row.update(zip(labels, perm))
+            if all(sorted((label_to_row[lab], m) for lab, m in line.terms)
+                   == products[label_to_row[line.left], label_to_row[line.right]]
+                   for line in ready[depth]) and extend(depth + 1):
+                return True
+        return False
+
+    if extend(0):
+        return {lab: alignment.row_to_label[row] for lab, row in label_to_row.items()}
     return None
 
 

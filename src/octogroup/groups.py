@@ -139,9 +139,6 @@ class Group:
     def inverse_class(self) -> tuple[int, ...]:
         return tuple(self.class_index(c.representative.inverse()) for c in self.classes)
 
-    def centralizer_order(self, g: SignedPerm) -> int:
-        return sum(1 for h in self.elements if h * g == g * h)
-
 
 def close(generators: list[SignedPerm], cap: int = 10**6) -> Group:
     """Breadth-first closure of the generators."""

@@ -140,19 +140,6 @@ def binary_octahedral() -> dict[Quaternion, str]:
     return elements
 
 
-def coset_of(q: Quaternion) -> str:
-    group = binary_octahedral()
-    if q not in group:
-        raise ValueError("quaternion is not in the binary octahedral group")
-    return group[q]
-
-
-def coset_product(s: str, t: str) -> str:
-    if s not in COSET_NAMES or t not in COSET_NAMES:
-        raise ValueError(f"unknown coset label: {s!r} / {t!r}")
-    return COSET_TABLE[(s, t)]
-
-
 def verify_coset_table() -> bool:
     """Compare the coset of each of the 48 x 48 elementwise products with the table."""
     index = quaternion_index()

@@ -100,9 +100,6 @@ class SignedPerm:
         """Image of 0-based point i as (point, sign)."""
         return self.image[i], self.signs[i]
 
-    def is_diagonal(self) -> bool:
-        return self.image == tuple(range(self.degree))
-
     def underlying(self) -> "SignedPerm":
         """The same permutation with all signs +1."""
         return SignedPerm(self.image, (1,) * self.degree)

@@ -10,9 +10,8 @@ from octogroup.scalars import Cyclotomic
 
 @pytest.fixture(scope="session")
 def report():
-    """The full verification report, computed once per session under the cache
-    key the CLI's verify command uses."""
-    return catalog.verify_all(None, None)
+    """The full verification report, computed once per session."""
+    return catalog.verify_all()
 
 
 def numeric(x: Cyclotomic) -> complex:

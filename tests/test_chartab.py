@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from octogroup.chartab import (
+    CharacterRow,
+    CharacterTable,
     branch,
     class_algebra,
     decompose,
@@ -10,6 +12,7 @@ from octogroup.chartab import (
     frobenius_schur,
     inner_product,
     natural_character,
+    primitive_root,
     tensor_decompose,
 )
 from octogroup.scalars import Cyclotomic
@@ -115,6 +118,55 @@ def test_tensor_dimension_conservation():
                 t.rows[i].degree * t.rows[j].degree
 
 
+def exact_tensor_decompose(table, i, j):
+    """Reference: the exact product character, decomposed by exact inner products."""
+    chi, psi = table.rows[i], table.rows[j]
+    product = CharacterRow(chi.degree * psi.degree,
+                           tuple(a * b for a, b in zip(chi.values, psi.values)))
+    return decompose(product, table)
+
+
+def test_tensor_decompose_matches_exact_reference():
+    """All 759 unordered products of the 13 roster tables."""
+    count = 0
+    for name in catalog.ROSTER:
+        t = catalog.table(name)
+        for i in range(len(t.rows)):
+            for j in range(i, len(t.rows)):
+                expected = exact_tensor_decompose(t, i, j)
+                assert tensor_decompose(t, i, j) == expected, (name, i, j)
+                assert tensor_decompose(t, j, i) == expected, (name, j, i)
+                count += 1
+    assert count == 759
+
+
+def test_residues_reduce_the_rows():
+    """residues[i][k] is rows[i].values[k] under zeta_n -> z^((p-1)/n), z the
+    smallest primitive root mod p; a rational value reduces to itself."""
+    for name in ("2^3:7:3", "4.S4:2", "2^3.PSL2(7)"):
+        t = catalog.table(name)
+        p = t.prime
+        z = primitive_root(p)
+        for row, res in zip(t.rows, t.residues):
+            assert res[0] == row.degree
+            for v, r in zip(row.values, res):
+                theta = pow(z, (p - 1) // v.conductor, p)
+                assert r == sum(c.numerator * pow(c.denominator, -1, p) * pow(theta, e, p)
+                                for e, c in v.coeffs) % p
+
+
+def test_tensor_decompose_rejects_inexact_residues():
+    t = catalog.table("2^3:7:3")
+    group = t.group
+    # a prime too small for the residue to be the multiplicity itself
+    with pytest.raises(ValueError):
+        tensor_decompose(CharacterTable(group, t.rows, 7, t.residues), 0, 0)
+    # residues that are not those of the rows fail the bound or dimension check
+    bad = (tuple(2 * r % t.prime for r in t.residues[0]),) + t.residues[1:]
+    with pytest.raises(ValueError):
+        tensor_decompose(CharacterTable(group, t.rows, t.prime, bad), 0, 0)
+
+
 def test_branch_examples():
     tg = catalog.table("2^3.PSL2(7)")
     th = catalog.table("2^3:7:3")
@@ -163,11 +215,17 @@ def test_frobenius_schur():
         inds = {a.row_to_label[i]: frobenius_schur(t, i) for i in range(len(t.rows))}
         assert inds["3_1"] == inds["3_2"] == 0
         assert all(v == 1 for lab, v in inds.items() if lab not in ("3_1", "3_2"))
-        # sum of indicators weighted by degree counts involutions plus identity
+
+
+def test_indicators_count_square_roots_of_one():
+    """sum_chi nu(chi) chi(1) = #{g : g^2 = 1}, the count taken from the
+    elements themselves (no classes, power maps or table values)."""
+    for name in catalog.ROSTER:
+        t = catalog.table(name)
         group = t.group
-        involutions = sum(c.size for c in group.classes if c.element_order == 2)
-        assert sum(frobenius_schur(t, i) * t.rows[i].degree
-                   for i in range(len(t.rows))) == involutions + 1
+        roots = sum(1 for g in group.elements if g * g == group.identity)
+        assert sum(frobenius_schur(t, i) * row.degree
+                   for i, row in enumerate(t.rows)) == roots, name
 
 
 def test_value_conductors_divide_element_orders():

@@ -1,7 +1,10 @@
+from itertools import permutations, product
+
 import pytest
 
 from octogroup import golden as gold
 from octogroup import catalog
+from octogroup.chartab import tensor_decompose
 from octogroup.scalars import Cyclotomic
 
 
@@ -116,3 +119,56 @@ def test_branch_line_parsing():
 def test_render_terms():
     order = ["1", "3_1", "3_2", "6"]
     assert gold.render_terms((("6", 2), ("1", 1)), order) == "1 + 2(6)"
+
+
+def brute_force_relabeling(alignment, lines):
+    """Reference for find_tensor_relabeling: every degree-preserving candidate
+    in itertools.product order, each checked against every line."""
+    table = alignment.table
+    degrees = table.degrees()
+    degs = sorted(set(degrees))
+    rows_of = {d: [i for i, e in enumerate(degrees) if e == d] for d in degs}
+    labels_of = {d: [lab for lab in alignment.golden.labels
+                     if degrees[alignment.label_to_row[lab]] == d] for d in degs}
+    checked = [line for line in lines if not line.flagged]
+    for combo in product(*(permutations(rows_of[d]) for d in degs)):
+        label_to_row = {lab: row for d, perm in zip(degs, combo)
+                        for lab, row in zip(labels_of[d], perm)}
+        row_to_label = {row: lab for lab, row in label_to_row.items()}
+        if all(tuple(sorted((row_to_label[k], m) for k, m in enumerate(
+                tensor_decompose(table, label_to_row[line.left], label_to_row[line.right]))
+                if m)) == line.terms for line in checked):
+            return {lab: alignment.row_to_label[row] for lab, row in label_to_row.items()}
+    return None
+
+
+def _renamed(lines, rename):
+    return [gold.ProductLine(rename.get(line.left, line.left),
+                             rename.get(line.right, line.right),
+                             tuple(sorted((rename.get(lab, lab), m) for lab, m in line.terms)),
+                             line.flagged, line.raw) for line in lines]
+
+
+def test_tensor_relabeling_matches_brute_force():
+    """The pruned search returns the first candidate of the exhaustive one: on
+    the packaged 2^3.S4 list, on that list with degree-3 labels renamed, and
+    with one line made unreproducible."""
+    name = "2^3.S4"
+    a = catalog.alignment(name)
+    lines = gold.load_tensor_lines(gold.DATA_DIR / catalog.ROSTER[name].tensor_file)
+    found = gold.find_tensor_relabeling(a, lines)
+    assert found is not None and found != {lab: lab for lab in found}
+    assert list(found.items()) == list(brute_force_relabeling(a, lines).items())
+
+    renamed = _renamed(lines, {"3_1": "3_4", "3_4": "3_6", "3_6": "3_1"})
+    found = gold.find_tensor_relabeling(a, renamed)
+    assert found is not None
+    assert list(found.items()) == list(brute_force_relabeling(a, renamed).items())
+
+    first = next(i for i, line in enumerate(lines) if not line.flagged)
+    broken = list(lines)
+    broken[first] = gold.ProductLine(lines[first].left, lines[first].right,
+                                     tuple((lab, m + 1) for lab, m in lines[first].terms),
+                                     False, lines[first].raw)
+    assert gold.find_tensor_relabeling(a, broken) is None
+    assert brute_force_relabeling(a, broken) is None

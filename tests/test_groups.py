@@ -33,6 +33,10 @@ def test_closure_cap():
         close(gen("alpha", "gamma"), cap=100)
 
 
+def centralizer_order(group, g):
+    return sum(1 for h in group.elements if h * g == g * h)
+
+
 def brute_force_classes(group):
     """Independent all-pairs conjugacy oracle."""
     elems = list(group.elements)
@@ -61,7 +65,7 @@ def test_class_invariants():
     assert sum(c.size for c in group.classes) == group.order
     for c in group.classes:
         assert group.order % c.size == 0
-        assert c.size * group.centralizer_order(c.representative) == group.order
+        assert c.size * centralizer_order(group, c.representative) == group.order
         assert all(group.elements[i].order() == c.element_order
                    for i in c.member_indices)
     # identity is always a singleton class

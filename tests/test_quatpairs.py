@@ -6,12 +6,11 @@ import pytest
 from octogroup.octonion import is_algebra_automorphism
 from octogroup.quatpairs import (
     COSET_NAMES,
+    COSET_TABLE,
     PAIRED_COSET,
     Quaternion,
     QuaternionPair,
     binary_octahedral,
-    coset_of,
-    coset_product,
     is_homomorphism,
     pair_group,
     pair_images,
@@ -25,6 +24,19 @@ from octogroup import catalog
 from octogroup.groups import close
 
 half = Fraction(1, 2)
+
+
+def coset_of(q: Quaternion) -> str:
+    group = binary_octahedral()
+    if q not in group:
+        raise ValueError("quaternion is not in the binary octahedral group")
+    return group[q]
+
+
+def coset_product(s: str, t: str) -> str:
+    if s not in COSET_NAMES or t not in COSET_NAMES:
+        raise ValueError(f"unknown coset label: {s!r} / {t!r}")
+    return COSET_TABLE[(s, t)]
 
 
 def test_quaternion_units():
