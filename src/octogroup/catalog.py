@@ -17,8 +17,10 @@ Table alignments are tied together only by the branching reference lists, so
 they are chosen per connected component of the branching graph
 (``COMPONENTS``): {7:3, 2^3:7:3, 2^3.PSL2(7)}, {7:3-split, 2^3:7:3-split,
 2^3:PSL2(7), PSL2(7)}, and the singletons PSL2(7)-second, 4.S4:2, 2^3:S4,
-2^3.S4, 4:S4:2 and 2^3.S4-pairs.  A query on one group builds, tables and
-reads the reference files of its component only.
+2^3.S4, 4:S4:2 and 2^3.S4-pairs.  A component's alignment is the first
+combination of its tables' candidates, in ``itertools.product`` order, that
+reproduces every branching list among its groups.  A query on one group
+builds, tables and reads the reference files of its component only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 from . import golden as gold
@@ -34,6 +36,7 @@ from .chartab import (
     CharacterTable,
     branch,
     character_table,
+    decompose,
     frobenius_schur,
     inner_product,
     natural_character,
@@ -246,17 +249,20 @@ COMPONENT_OF: dict[str, tuple[str, ...]] = {n: c for c in COMPONENTS for n in c}
 def choose_alignments(golden_dir: str | None = None,
                       component: tuple[str, ...] | None = None) -> dict[str, gold.Alignment]:
     """One alignment per table of a component of the branching graph, jointly
-    consistent with every branching reference list among its groups
-    (backtracking over the per-table candidates in roster order).  Without a
-    component, every roster table, merged from the per-component results:
-    backtracking picks each component independently, so this is the
-    whole-roster search's first solution."""
+    consistent with every branching reference list among its groups: the
+    first combination of the per-table candidates, in itertools.product order
+    over the component in roster order, that matches every list.  A
+    depth-first search that takes the tables in that order and skips a
+    partial choice that fails a list returns the same combination, since it
+    meets the combinations in the same lexicographic order.  Without a
+    component, every roster table, merged from the per-component results;
+    components share no list, so this is the whole-roster search's first
+    match."""
     if component is None:
         return {n: alignment(n, golden_dir) for n in ROSTER}
-    names = list(component)
-    candidates = {n: _alignment_candidates(n, golden_dir) for n in names}
-    for n in names:
-        if not candidates[n]:
+    candidates = [_alignment_candidates(n, golden_dir) for n in component]
+    for n, cands in zip(component, candidates):
+        if not cands:
             raise BuildError(f"no reference alignment found for {n}")
 
     constraints = []
@@ -268,35 +274,15 @@ def choose_alignments(golden_dir: str | None = None,
         matrix = [list(r) for r in branch_matrix(parent, child_roster)]
         constraints.append((parent, child_roster, matrix, lines))
 
-    chosen: dict[str, gold.Alignment] = {}
-
-    def consistent(name: str) -> bool:
-        for parent, child_roster, matrix, lines in constraints:
-            if parent not in chosen or child_roster not in chosen:
-                continue
-            if name not in (parent, child_roster):
-                continue
-            checks = gold.check_branch_lines(chosen[parent], chosen[child_roster],
-                                             matrix, lines)
-            if not all(c.matches for c in checks):
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(names):
-            return True
-        name = names[i]
-        for cand in candidates[name]:
-            chosen[name] = cand
-            if consistent(name) and backtrack(i + 1):
-                return True
-            del chosen[name]
-        return False
-
-    if not backtrack(0):
-        raise BuildError("no jointly consistent set of table alignments exists for "
-                         + ", ".join(component))
-    return dict(chosen)
+    for combo in product(*candidates):
+        chosen = dict(zip(component, combo))
+        if all(check.matches
+               for parent, child_roster, matrix, lines in constraints
+               for check in gold.check_branch_lines(chosen[parent], chosen[child_roster],
+                                                    matrix, lines)):
+            return chosen
+    raise BuildError("no jointly consistent set of table alignments exists for "
+                     + ", ".join(component))
 
 
 def alignment(name: str, golden_dir: str | None = None) -> gold.Alignment:
@@ -708,8 +694,7 @@ def _claims(golden_dir: str | None):
 
     def _shared_matrix():
         a1, a2 = al("2^3.PSL2(7)"), al("2^3:PSL2(7)")
-        m1 = _aligned_matrix(a1)
-        m2 = _aligned_matrix(a2)
+        m1, m2 = a1.cells(), a2.cells()
         return ("aligned character matrices are identical" if m1 == m2 else
                 "aligned matrices differ", m1 == m2)
     yield ("shared-table.matrices",
@@ -782,13 +767,8 @@ def _claims(golden_dir: str | None):
                "all rows match", _branch)
 
     def _natural_branchings():
-        g21 = build("7:3")
-        nat = natural_character(g21)
         t = table("7:3")
-        a = al("7:3")
-        mults = [int(inner_product(nat, row, g21)) for row in t.rows]
-        got = gold.render_terms(gold.multiset_from_multiplicities(mults, a),
-                                a.labels_in_order())
+        got = gold.render_terms(al("7:3").terms(decompose(natural_character(t.group), t)))
         n168 = build("2^3:7:3")
         irr = inner_product(natural_character(n168), natural_character(n168), n168)
         n1344 = build("2^3.PSL2(7)")
@@ -904,14 +884,3 @@ def _claims(golden_dir: str | None):
            "14 signed points (the testable part of the alternating-group embedding; "
            "maximality itself is documented, not verified)",
            "all even", _parity)
-
-
-def _aligned_matrix(a: gold.Alignment) -> tuple[tuple[str, ...], ...]:
-    """The computed character matrix rearranged into reference order."""
-    rows = []
-    for label in a.golden.labels:
-        i = a.label_to_row[label]
-        row = a.table.rows[i]
-        rows.append(tuple(str(row.values[a.col_to_class[c]])
-                          for c in range(a.golden.n_classes)))
-    return tuple(rows)

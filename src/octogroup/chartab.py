@@ -35,15 +35,11 @@ class SplitFailure(RuntimeError):
 
 # -- small number theory ----------------------------------------------------
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == [n]
-
-
 def dixon_prime(exponent: int, order: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p > 2*floor(sqrt(order))."""
     bound = 2 * isqrt(order)
     p = exponent + 1
-    while p <= bound or not is_prime(p):
+    while p <= bound or prime_factors(p) != [p]:
         p += exponent
         if p > 10**7:
             raise RuntimeError("no suitable Dixon prime found")
@@ -61,35 +57,22 @@ def primitive_root(p: int) -> int:
 
 # -- class algebra ----------------------------------------------------------
 
-class ClassAlgebra:
-    """Structure constants a_ijk with C_i * C_j = sum_k a_ijk C_k."""
-
-    def __init__(self, group: Group):
-        self.group = group
-        classes = group.classes
-        r = len(classes)
-        coeff = [[[0] * r for _ in range(r)] for _ in range(r)]
-        class_of = group.class_of
-        for k, ck in enumerate(classes):
-            z = ck.representative
-            for idx, x in enumerate(group.elements):
-                i = class_of[idx]
-                y = x.inverse() * z
-                j = class_of[group.index[y]]
-                coeff[i][j][k] += 1
-        self.coeff = coeff
-
-    def a(self, i: int, j: int, k: int) -> int:
-        return self.coeff[i][j][k]
-
-    def matrix(self, i: int) -> Matrix:
-        """M_i with (M_i)[j][k] = a_ijk, so that M_i w = omega_i w for the
-        class-function eigenvectors w (w_k = |C_k| chi(g_k) / chi(1))."""
-        return [list(row) for row in self.coeff[i]]
-
-
-def class_algebra(group: Group) -> ClassAlgebra:
-    return ClassAlgebra(group)
+def class_algebra(group: Group) -> list[Matrix]:
+    """The class matrices M_i, (M_i)[j][k] = a_ijk for the structure constants
+    C_i * C_j = sum_k a_ijk C_k, so that M_i w = omega_i w for the
+    class-function eigenvectors w (w_k = |C_k| chi(g_k) / chi(1))."""
+    classes = group.classes
+    r = len(classes)
+    coeff = [[[0] * r for _ in range(r)] for _ in range(r)]
+    class_of = group.class_of
+    for k, ck in enumerate(classes):
+        z = ck.representative
+        for idx, x in enumerate(group.elements):
+            i = class_of[idx]
+            y = x.inverse() * z
+            j = class_of[group.index[y]]
+            coeff[i][j][k] += 1
+    return coeff
 
 
 # -- GF(p) linear algebra ----------------------------------------------------
@@ -234,9 +217,8 @@ class CharacterTable:
 def character_table(group: Group) -> CharacterTable:
     classes = group.classes
     r = len(classes)
-    algebra = class_algebra(group)
+    matrices = class_algebra(group)
     p = dixon_prime(group.exponent, group.order)
-    matrices = [algebra.matrix(i) for i in range(r)]
 
     subspaces = [_Subspace([[1 if i == j else 0 for j in range(r)] for i in range(r)], p)]
     for i in range(1, r):

@@ -13,7 +13,7 @@ import sys
 
 from . import catalog
 from .chartab import tensor_decompose
-from .golden import GoldenFileError, multiset_from_multiplicities, render_terms
+from .golden import GoldenFileError, render_terms
 from .octonion import Octonion
 
 USAGE_ERROR = 2
@@ -28,22 +28,19 @@ def cmd_chartab(args) -> int:
     name = args.group
     if name not in catalog.ROSTER:
         return _fail_usage(f"unknown group {name!r}; roster: {', '.join(sorted(catalog.ROSTER))}")
-    table = catalog.table(name)
-    group = table.group
     align = catalog.alignment(name, args.golden_dir)
-    class_order = align.col_to_class
+    group = align.table.group
 
     classes = [{
         "representative": str(group.classes[k].representative),
         "size": group.classes[k].size,
         "order": group.classes[k].element_order,
-    } for k in class_order]
-    rows = [(lab, table.rows[align.label_to_row[lab]]) for lab in align.labels_in_order()]
+    } for k in align.col_to_class]
     irreps = [{
         "label": lab,
-        "degree": row.degree,
-        "values": [str(row.values[k]) for k in class_order],
-    } for lab, row in rows]
+        "degree": align.table.rows[align.label_to_row[lab]].degree,
+        "values": values,
+    } for lab, values in zip(align.labels_in_order(), align.cells())]
     doc = {"group": name, "order": group.order, "classes": classes, "irreps": irreps}
 
     if args.format == "json":
@@ -71,21 +68,17 @@ def cmd_tensor(args) -> int:
     if name not in catalog.ROSTER:
         return _fail_usage(f"unknown group {name!r}")
     align = catalog.alignment(name, args.golden_dir)
-    labels = align.labels_in_order()
     try:
         i = align.irrep_index(args.left)
         j = align.irrep_index(args.right)
     except KeyError as exc:
         return _fail_usage(str(exc.args[0]))
-    table = catalog.table(name)
-    mults = tensor_decompose(table, i, j)
-    terms = multiset_from_multiplicities(mults, align)
-    rendered = render_terms(terms, labels)
+    terms = align.terms(tensor_decompose(align.table, i, j))
+    rendered = render_terms(terms)
     if args.format == "json":
         print(json.dumps({"group": name, "left": args.left, "right": args.right,
                           "decomposition": rendered,
-                          "terms": [{"label": lab, "multiplicity": m}
-                                    for lab, m in sorted(terms, key=lambda t: labels.index(t[0]))]},
+                          "terms": [{"label": lab, "multiplicity": m} for lab, m in terms]},
                          indent=2))
     else:
         print(f"{args.left} x {args.right} = {rendered}")
@@ -101,13 +94,9 @@ def cmd_branch(args) -> int:
     child_roster = catalog.BRANCH_CHILD_ROSTER[pair]
     parent_align = catalog.alignment(args.group, args.golden_dir)
     child_align = catalog.alignment(child_roster, args.golden_dir)
-    child_labels = child_align.labels_in_order()
     matrix = catalog.branch_matrix(args.group, child_roster)
-    lines = []
-    for lab in parent_align.labels_in_order():
-        i = parent_align.irrep_index(lab)
-        terms = multiset_from_multiplicities(list(matrix[i]), child_align)
-        lines.append((lab, render_terms(terms, child_labels)))
+    lines = [(lab, render_terms(child_align.terms(matrix[parent_align.irrep_index(lab)])))
+             for lab in parent_align.labels_in_order()]
     if args.format == "json":
         print(json.dumps({"group": args.group, "subgroup": args.subgroup,
                           "rows": [{"irrep": lab, "decomposition": dec}
@@ -141,7 +130,11 @@ def cmd_octmul(args) -> int:
         right = Octonion.parse(args.right)
     except ValueError as exc:
         return _fail_usage(f"bad octonion expression: {exc}")
-    print(f"({left}) * ({right}) = {left * right}")
+    try:
+        line = f"({left}) * ({right}) = {left * right}"
+    except ValueError as exc:  # a coefficient past the int-to-str digit limit
+        return _fail_usage(f"cannot print the product: {exc}")
+    print(line)
     return 0
 
 

@@ -1,5 +1,10 @@
 """Reference tables: file formats, loading, and alignment of computed tables.
 
+An ``Alignment`` is the one translator from a computed table to its
+reference: its ``terms`` and ``cells`` give multiplicities and values under
+reference labels, in reference row and column order, to the CLI, the
+verification report and the line checks below.
+
 File conventions
 ----------------
 
@@ -151,7 +156,9 @@ def load_golden_table(path: Path | str) -> GoldenTable:
 
 @dataclass
 class Alignment:
-    """A verified match between a computed table and a reference table."""
+    """A verified match between a computed table and a reference table, and
+    the translation of computed rows and classes into reference labels and
+    columns."""
 
     golden: GoldenTable
     group_name: str
@@ -167,6 +174,17 @@ class Alignment:
 
     def labels_in_order(self) -> list[str]:
         return list(self.golden.labels)
+
+    def terms(self, mults) -> tuple[tuple[str, int], ...]:
+        """The nonzero (label, multiplicity) pairs of multiplicities indexed
+        by computed row, in reference label order."""
+        pairs = ((lab, mults[self.label_to_row[lab]]) for lab in self.golden.labels)
+        return tuple((lab, m) for lab, m in pairs if m)
+
+    def cells(self) -> list[list[str]]:
+        """The computed table as text, in reference row and column order."""
+        return [[str(self.table.rows[self.label_to_row[lab]].values[k]) for k in self.col_to_class]
+                for lab in self.golden.labels]
 
 
 def find_alignments(table: CharacterTable, golden: GoldenTable,
@@ -308,18 +326,8 @@ def load_branch_lines(path: Path | str) -> list[BranchLine]:
     return _load_lines(path, "branch", _branch_line)
 
 
-def multiset_from_multiplicities(mults: list[int], alignment: Alignment) -> tuple[tuple[str, int], ...]:
-    terms = []
-    for i, m in enumerate(mults):
-        if m:
-            terms.append((alignment.row_to_label[i], m))
-    return tuple(sorted(terms))
-
-
-def render_terms(terms: tuple[tuple[str, int], ...], label_order: list[str]) -> str:
-    ordered = sorted(terms, key=lambda t: label_order.index(t[0]))
-    parts = [label if m == 1 else f"{m}({label})" for label, m in ordered]
-    return " + ".join(parts)
+def render_terms(terms: tuple[tuple[str, int], ...]) -> str:
+    return " + ".join(label if m == 1 else f"{m}({label})" for label, m in terms)
 
 
 @dataclass(frozen=True)
@@ -330,19 +338,21 @@ class LineCheck:
     computed: str
 
 
+def _check_line(alignment: Alignment, mults, line: ProductLine | BranchLine,
+                flagged: bool) -> LineCheck:
+    """A reference line against multiplicities indexed by computed row."""
+    computed = alignment.terms(mults)
+    return LineCheck(line.raw, dict(computed) == dict(line.terms), flagged,
+                     render_terms(computed))
+
+
 def check_tensor_lines(alignment: Alignment, lines: list[ProductLine]) -> list[LineCheck]:
-    table = alignment.table
     results = []
     for line in lines:
         i = alignment.irrep_index(line.left)
         j = alignment.irrep_index(line.right)
-        computed = multiset_from_multiplicities(tensor_decompose(table, i, j), alignment)
-        results.append(LineCheck(
-            line.raw,
-            computed == line.terms,
-            line.flagged,
-            render_terms(computed, alignment.labels_in_order()),
-        ))
+        mults = tensor_decompose(alignment.table, i, j)
+        results.append(_check_line(alignment, mults, line, line.flagged))
     return results
 
 
@@ -415,14 +425,5 @@ def find_tensor_relabeling(alignment: Alignment,
 def check_branch_lines(parent: Alignment, child: Alignment,
                        branch_matrix: list[list[int]],
                        lines: list[BranchLine]) -> list[LineCheck]:
-    results = []
-    for line in lines:
-        i = parent.irrep_index(line.parent)
-        computed = multiset_from_multiplicities(branch_matrix[i], child)
-        results.append(LineCheck(
-            line.raw,
-            computed == line.terms,
-            False,
-            render_terms(computed, child.labels_in_order()),
-        ))
-    return results
+    return [_check_line(child, branch_matrix[parent.irrep_index(line.parent)], line, False)
+            for line in lines]

@@ -14,6 +14,7 @@ Rational numbers are plain ``fractions.Fraction`` everywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -164,12 +165,17 @@ def _apply_galois(n: int, dense: list[Fraction], a: int) -> list[Fraction]:
     return _reduce_mod_phi(n, out)
 
 
+_NUMERAL = re.compile(r"[0-9]+(/[0-9]+)?")
+
+
 def signed_terms(text: str) -> list[tuple[Fraction, str]]:
     """Split a sum such as ``1/2*z3 - z3^2 + 3`` into (coefficient, atom) pairs.
 
     Spaces are ignored.  A term is a sign (optional on the first term), an
-    optional rational coefficient with ``*``, and an atom.  A rational atom is
-    folded into the coefficient and returned as the empty atom; the caller
+    optional numeral coefficient with ``*``, and an atom.  A numeral is
+    ``digits`` or ``digits/digits``, the form signed_sum writes; exponent,
+    decimal and underscore forms are not numerals.  A numeral atom is folded
+    into the coefficient and returned as the empty atom; the caller
     interprets every other atom.  Malformed input, a zero denominator
     included, raises ValueError.
     """
@@ -184,13 +190,13 @@ def signed_terms(text: str) -> list[tuple[Fraction, str]]:
             atom = term[1:] if term[0] in "+-" else term
             if "*" in atom:
                 head, atom = atom.split("*", 1)
+                if not _NUMERAL.fullmatch(head):
+                    raise ValueError(f"bad coefficient {head!r} in {text!r}")
                 coeff *= Fraction(head)
             if not atom:
                 raise ValueError(f"missing term in {text!r}")
-            try:
+            if _NUMERAL.fullmatch(atom):
                 coeff, atom = coeff * Fraction(atom), ""
-            except ValueError:
-                pass  # not a number: an atom for the caller
             terms.append((coeff, atom))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None

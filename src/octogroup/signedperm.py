@@ -133,8 +133,9 @@ class SignedPerm:
     _CYCLES = re.compile(r"(\s*\([^()]*\))*\s*")
 
     @staticmethod
-    def parse(text: str, degree: int = 7) -> "SignedPerm":
-        """Parse signed-cycle notation like ``(e1 -e5)(e2 -e3 e4 -e7 -e2 e3 -e4 e7)``.
+    def parse(text: str) -> "SignedPerm":
+        """Parse signed-cycle notation like ``(e1 -e5)(e2 -e3 e4 -e7 -e2 e3 -e4 e7)``
+        into a degree-7 signed permutation.
 
         Each listed signed point maps to the next in its cycle (the last wraps
         to the first); unmentioned points are fixed with sign +1.  Only
@@ -158,13 +159,13 @@ class SignedPerm:
                     raise ValueError(f"bad token {token!r}")
                 sign = -1 if token.startswith("-") else 1
                 idx = int(token[2:]) if sign < 0 else int(token[1:])
-                if not 1 <= idx <= degree:
-                    raise ValueError(f"index {idx} out of range for degree {degree}")
+                if not 1 <= idx <= 7:
+                    raise ValueError(f"index {idx} out of range for degree 7")
                 entries.append((idx - 1, sign))
             for (i, si), (j, sj) in zip(entries, entries[1:] + entries[:1]):
                 record(i, si, j, sj)
-        img = list(range(degree))
-        sgn = [1] * degree
+        img = list(range(7))
+        sgn = [1] * 7
         for i, (j, s) in mapping.items():
             img[i] = j
             sgn[i] = s

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from octogroup.signedperm import SignedPerm, conjugate
 from octogroup.octonion import is_algebra_automorphism
 from octogroup import catalog
+from octogroup import golden as gold
 
 
 def test_generator_values():
@@ -77,6 +79,43 @@ def test_components_of_branching_graph():
         ("2^3.S4-pairs",),
     )
     assert all(catalog.COMPONENT_OF[n] == c for c in catalog.COMPONENTS for n in c)
+
+
+def consistent_combinations(component):
+    """Every combination of the component's alignment candidates, in
+    itertools.product order, whose branching matrices reproduce each packaged
+    branching line among its groups, compared label by label."""
+    checks = []
+    for (parent, child), branch_file in catalog.BRANCH_PAIRS.items():
+        if parent in component:
+            child_roster = catalog.BRANCH_CHILD_ROSTER[(parent, child)]
+            checks.append((parent, child_roster, catalog.branch_matrix(parent, child_roster),
+                           gold.load_branch_lines(gold.DATA_DIR / branch_file)))
+
+    def reproduces(chosen, parent, child, matrix, line):
+        row = matrix[chosen[parent].label_to_row[line.parent]]
+        computed = {lab: row[i] for lab, i in chosen[child].label_to_row.items() if row[i]}
+        return computed == dict(line.terms)
+
+    found = []
+    for combo in product(*(catalog._alignment_candidates(n, None) for n in component)):
+        chosen = dict(zip(component, combo))
+        if all(reproduces(chosen, parent, child, matrix, line)
+               for parent, child, matrix, lines in checks for line in lines):
+            found.append(chosen)
+    return found
+
+
+@pytest.mark.parametrize("component", [c for c in catalog.COMPONENTS if len(c) > 1],
+                         ids=lambda c: c[0])
+def test_alignment_is_first_consistent_combination(component):
+    """More than one combination is consistent, so the search order decides
+    the alignment: it is the first in product order over roster order."""
+    found = consistent_combinations(component)
+    assert len(found) > 1
+    chosen = catalog.choose_alignments(None, component)
+    assert list(chosen) == list(component)
+    assert all(chosen[n] is found[0][n] for n in component)
 
 
 def test_whole_roster_alignments_merge_components():

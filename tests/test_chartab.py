@@ -40,16 +40,16 @@ def test_class_algebra_counts():
     for j in range(len(classes)):
         # identity class row: C_1 * C_j = C_j
         for k in range(len(classes)):
-            assert algebra.a(ident, j, k) == (1 if j == k else 0)
+            assert algebra[ident][j][k] == (1 if j == k else 0)
     # the two size-3 classes of order-7 elements multiply with total weight 9
     sevens = [i for i, c in enumerate(classes) if c.element_order == 7]
     i, j = sevens
-    total = sum(algebra.a(i, j, k) * classes[k].size for k in range(len(classes)))
+    total = sum(algebra[i][j][k] * classes[k].size for k in range(len(classes)))
     assert total == classes[i].size * classes[j].size == 9
     # weight identity for all pairs
     for i in range(len(classes)):
         for j in range(len(classes)):
-            assert sum(algebra.a(i, j, k) * classes[k].size
+            assert sum(algebra[i][j][k] * classes[k].size
                        for k in range(len(classes))) == classes[i].size * classes[j].size
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -193,6 +195,17 @@ def test_octmul(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad octonion expression")
+    # numerals are digits or digits/digits only, so an exponent form is
+    # rejected before it is expanded
+    for bad in ("1e100000000", "1e5000", "1.5*e1", "1_0"):
+        code, out, err = run_cli(capsys, "octmul", bad, "e1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad octonion expression")
+    # a product coefficient past the int-to-str digit limit is a usage error
+    big = "7" * 3000
+    code, out, err = run_cli(capsys, "octmul", f"{big}*e1", f"{big}*e2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot print the product")
 
 
 def test_json_output_byte_identical_across_processes():
@@ -214,3 +227,33 @@ def test_benchmark_tracer_installs():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles"
+
+
+def run_quiet(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_verify_reports_match_oracles(report):
+    """The full JSON report and the text report of each claim family equal the
+    benchmark's recorded outputs byte for byte."""
+    oracle = json.loads((ORACLES / "verify.json").read_text())
+    assert run_quiet(["verify", "--format", "json"]) == (0, oracle["full"])
+    assert len(oracle["filter"]) == 19
+    for prefix, stdout in oracle["filter"].items():
+        assert run_quiet(["verify", "--filter", prefix]) == (0, stdout), prefix
+
+
+def test_queries_match_oracles():
+    """Every chartab, tensor, branch and octmul query the benchmark issues
+    prints its recorded output and exit code."""
+    oracle = json.loads((ORACLES / "cli.json").read_text())
+    records = [rec for queries in oracle.values() for rec in queries]
+    assert len(records) == 783
+    for rec in records:
+        assert run_quiet(rec["argv"]) == (rec["returncode"], rec["stdout"]), rec["argv"]

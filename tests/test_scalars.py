@@ -116,7 +116,8 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "z", "1 +", "q3", "1/0", "1/0*z3", "2*", "z3^"):
+    for bad in ("", "z", "1 +", "q3", "1/0", "1/0*z3", "2*", "z3^",
+                "1e5", "1e100000000", "1e5*z3", "1.5", "1_0", "1_0*z3", "0x10"):
         with pytest.raises(ValueError):
             Cyclotomic.parse(bad)
 
