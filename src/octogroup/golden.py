@@ -10,11 +10,13 @@ File conventions
 
 Character-table files: ``group``, ``order``, ``sizes`` and one ``orders``
 line per group name, then one ``irrep <label> <cells...>`` line per row.
-A cell may carry a known-misprint annotation ``printed!corrected``: the
-corrected value participates in all comparisons and the cell is reported
-as flagged.  Values are integers, rationals, ``z{n}^{k}`` expressions
-(without spaces), or the symbols mu, mu_bar, eta, eta_bar (optionally
-negated), which expand to z3, -1-z3, z7+z7^2+z7^4 and its conjugate.
+The order, class sizes and element orders are positive integers written
+in plain ASCII digits.  A cell may carry a known-misprint annotation
+``printed!corrected``: the corrected value participates in all comparisons
+and the cell is reported as flagged.  Values are integers, rationals,
+``z{n}^{k}`` expressions (without spaces), or the symbols mu, mu_bar, eta,
+eta_bar (optionally negated), which expand to z3, -1-z3, z7+z7^2+z7^4 and
+its conjugate.
 A character of a group of order N takes values in Q(z{N}), so every
 ``z{n}`` in a cell must have n dividing the ``order`` given on an earlier
 line.  This is checked before the cell is parsed, so a cell with a huge
@@ -22,7 +24,8 @@ conductor fails at once instead of expanding.
 
 Tensor files: lines ``<label> x <label> = <sum>``; a leading ``!`` flags a
 suspected misprint (compared and reported, never fatal).  Branch files:
-``<label> -> <sum>``.  Sums use ``+`` and optional multiplicities ``k(label)``.
+``<label> -> <sum>``.  Sums use ``+`` and optional multiplicities ``k(label)``,
+where k is a positive integer in plain ASCII digits.
 """
 
 from __future__ import annotations
@@ -57,12 +60,19 @@ def _read_lines(path: Path) -> list[str]:
         raise GoldenFileError(f"cannot read reference file {path}: {exc}") from exc
 
 
+def _positive(text: str) -> int:
+    """A positive integer written in plain ASCII digits."""
+    if not re.fullmatch(r"[0-9]+", text) or int(text) < 1:
+        raise ValueError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _parse_value(text: str, order: int) -> Cyclotomic:
     """A cell of the table of a group of the given order."""
     if text.startswith("-") and text[1:] in _SYMBOLS:
         return _parse_value(text[1:], order).scale(-1)
     text = _SYMBOLS.get(text, text)
-    for n in map(int, re.findall(r"z(\d+)", text)):
+    for n in map(int, re.findall(r"z([0-9]+)", text)):
         if n < 1 or order < 1 or order % n:
             raise ValueError(f"conductor {n} does not divide the group order {order}")
     return Cyclotomic.parse(text)
@@ -118,15 +128,15 @@ def load_golden_table(path: Path | str) -> GoldenTable:
             if kind == "group":
                 names = fields[1:]
             elif kind == "order":
-                order = int(fields[1])
+                order = _positive(fields[1])
             elif kind == "sizes":
                 for col, cell in enumerate(fields[1:]):
                     val, printed = _split_flag(cell)
-                    sizes.append(int(val))
+                    sizes.append(_positive(val))
                     if printed is not None:
                         flags.append(FlaggedCell(None, col, printed, val))
             elif kind == "orders":
-                orders[fields[1]] = [int(x) for x in fields[2:]]
+                orders[fields[1]] = [_positive(x) for x in fields[2:]]
             elif kind == "irrep":
                 label = fields[1]
                 row = []
@@ -278,7 +288,7 @@ def _parse_terms(text: str) -> tuple[tuple[str, int], ...]:
             mult_str, rest = chunk.split("(", 1)
             if not rest.endswith(")"):
                 raise GoldenFileError(f"bad term {chunk!r}")
-            mult = int(mult_str)
+            mult = _positive(mult_str.strip())
             label = rest[:-1].strip()
         else:
             mult, label = 1, chunk

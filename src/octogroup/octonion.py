@@ -7,6 +7,7 @@ structure constants phi_ijk, generated from the seven seed triples below
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,7 +117,7 @@ class Octonion:
         for coeff, atom in signed_terms(text):
             if not atom:
                 idx = 0
-            elif atom.startswith("e"):
+            elif re.fullmatch(r"e[0-9]+", atom):
                 idx = int(atom[1:])
                 if not 1 <= idx <= 7:
                     raise ValueError(f"unit index {idx} out of range")

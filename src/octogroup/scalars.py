@@ -9,6 +9,16 @@ elements coincides with equality of the stored representation:
   1, zeta_n, ..., zeta_n^(phi(n)-1), i.e. reduced modulo the n-th
   cyclotomic polynomial.
 
+``Cyclotomic.make`` finds that form for a sum of powers of zeta_n.  It
+reduces the sum modulo Phi_n, then tries the proper divisors d of n in
+ascending order: the first d for which the reduced vector solves as a
+rational combination of 1, zeta_d, ..., zeta_d^(phi(d)-1) (with
+zeta_d = zeta_n^(n/d)) is the conductor, and the solution gives the
+coefficients.  The solve is consistent exactly when the value lies in
+Q(zeta_d), and Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the
+first such d is the minimal conductor.  If no proper divisor solves, the
+conductor is n.
+
 Rational numbers are plain ``fractions.Fraction`` everywhere.
 """
 
@@ -59,58 +69,37 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def _divmod_monic(num: list, den: tuple[int, ...]) -> tuple[list, list]:
+    """Quotient and remainder of num by the monic integer polynomial den
+    (coefficients ascending)."""
+    rem = list(num)
+    deg = len(den) - 1
+    quot = [0] * (len(rem) - deg)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        quot[i - deg] = c
+        for j in range(deg):
+            if den[j]:
+                rem[i - deg + j] -= c * den[j]
+    return quot, rem[:deg]
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending, monic."""
-    if n == 1:
-        return (-1, 1)
     # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, by exact polynomial division.
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
+    num = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
-        den = cyclotomic_polynomial(d)
-        num = _polydiv_exact(num, den)
+        num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
+        assert not any(rem), "non-exact polynomial division"
     return tuple(num)
-
-
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials (den monic up to sign)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        assert c % lead == 0
-        q = c // lead
-        out[i - dd] = q
-        for j, a in enumerate(den):
-            num[i - dd + j] -= q * a
-    assert all(c == 0 for c in num), "non-exact polynomial division"
-    return out
-
-
-@lru_cache(maxsize=None)
-def _units(n: int) -> tuple[int, ...]:
-    return tuple(a for a in range(1, n + 1) if gcd(a, n) == 1)
 
 
 def _reduce_mod_phi(n: int, dense: list[Fraction]) -> list[Fraction]:
     """Reduce a coefficient vector over 1..zeta_n^(len-1) to degree < phi(n)."""
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    for e in range(len(dense) - 1, deg - 1, -1):
-        c = dense[e]
-        if c == 0:
-            continue
-        dense[e] = Fraction(0)
-        base = e - deg
-        for j in range(deg):
-            if phi[j]:
-                dense[base + j] -= c * phi[j]
-    return dense[:deg]
+    return _divmod_monic(dense, cyclotomic_polynomial(n))[1]
 
 
 @lru_cache(maxsize=None)
@@ -156,16 +145,8 @@ def _solve_in_subfield(n: int, d: int, vec: list[Fraction]) -> list[Fraction] | 
     return sol
 
 
-def _apply_galois(n: int, dense: list[Fraction], a: int) -> list[Fraction]:
-    """zeta_n -> zeta_n^a on a reduced vector; result reduced again."""
-    out = [Fraction(0)] * n
-    for e, c in enumerate(dense):
-        if c:
-            out[(a * e) % n] += c
-    return _reduce_mod_phi(n, out)
-
-
 _NUMERAL = re.compile(r"[0-9]+(/[0-9]+)?")
+_ROOT = re.compile(r"z([0-9]+)(?:\^([0-9]+))?")
 
 
 def signed_terms(text: str) -> list[tuple[Fraction, str]]:
@@ -247,25 +228,10 @@ class Cyclotomic:
         dense = [Fraction(0)] * n
         for e, c in parts.items():
             dense[e % n] += Fraction(c)
-        if n == 1:
-            return Cyclotomic(1, ((0, dense[0]),) if dense[0] else ())
         reduced = _reduce_mod_phi(n, dense)
-        return Cyclotomic._canonical(n, reduced)
-
-    @staticmethod
-    def _canonical(n: int, reduced: list[Fraction]) -> "Cyclotomic":
-        if all(c == 0 for c in reduced):
+        if not any(reduced):
             return Cyclotomic(1, ())
-        for d in divisors(n):
-            if d == n:
-                break
-            fixed = all(
-                _apply_galois(n, list(reduced), a) == reduced
-                for a in _units(n)
-                if a != 1 and a % d == 1
-            )
-            if not fixed:
-                continue
+        for d in divisors(n)[:-1]:
             sol = _solve_in_subfield(n, d, reduced)
             if sol is not None:
                 return Cyclotomic(d, tuple((e, c) for e, c in enumerate(sol) if c))
@@ -349,29 +315,11 @@ class Cyclotomic:
             return Cyclotomic.zero()
         return Cyclotomic(self.conductor, tuple((e, q * c) for e, c in self.coeffs))
 
-    def galois(self, a: int) -> "Cyclotomic":
-        """The automorphism zeta_n -> zeta_n^a (a coprime to the conductor)."""
-        n = self.conductor
-        if gcd(a, n) != 1:
-            raise ValueError(f"{a} is not a unit modulo {n}")
-        return Cyclotomic.make(n, {(a * e) % n: c for e, c in self.coeffs})
-
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta_n -> zeta_n^(-1)."""
-        return self.galois(self.conductor - 1) if self.conductor > 1 else self
-
-    def inverse(self) -> "Cyclotomic":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic")
         if self.conductor == 1:
-            return Cyclotomic.from_rational(1 / self.rational_value())
-        # multiply the remaining Galois conjugates; the full product is rational
-        prod = Cyclotomic.one()
-        for a in _units(self.conductor):
-            if a != 1:
-                prod = prod * self.galois(a)
-        norm = (self * prod).rational_value()
-        return prod.scale(1 / norm)
+            return self
+        return Cyclotomic.make(self.conductor, {-e: c for e, c in self.coeffs})
 
     # -- rendering / parsing ------------------------------------------------
 
@@ -387,9 +335,9 @@ class Cyclotomic:
         for coeff, atom in signed_terms(text):
             if not atom:
                 term = Cyclotomic.from_rational(coeff)
-            elif atom.startswith("z"):
-                n_str, caret, k_str = atom[1:].partition("^")
-                term = Cyclotomic.root(int(k_str) if caret else 1, int(n_str)).scale(coeff)
+            elif root := _ROOT.fullmatch(atom):
+                n, k = root.groups()
+                term = Cyclotomic.root(int(k or 1), int(n)).scale(coeff)
             else:
                 raise ValueError(f"bad cyclotomic term {atom!r}")
             total = total + term
@@ -428,12 +376,6 @@ class QuadSqrt2:
         """Field norm a^2 - 2*b^2."""
         return self.a * self.a - 2 * self.b * self.b
 
-    def inverse(self) -> "QuadSqrt2":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt(2))")
-        return QuadSqrt2(self.a / n, -self.b / n)
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -459,8 +401,3 @@ class QuadSqrt2:
 
 QUAD_ZERO = QuadSqrt2.of(0)
 QUAD_ONE = QuadSqrt2.of(1)
-
-MU = Cyclotomic.root(1, 3)
-MU_BAR = MU.conjugate()
-ETA = Cyclotomic.root(1, 7) + Cyclotomic.root(2, 7) + Cyclotomic.root(4, 7)
-ETA_BAR = ETA.conjugate()

@@ -129,7 +129,7 @@ class SignedPerm:
 
     # -- text notation ------------------------------------------------------
 
-    _TOKEN = re.compile(r"-?e\d+")
+    _TOKEN = re.compile(r"-?e[0-9]+")
     _CYCLES = re.compile(r"(\s*\([^()]*\))*\s*")
 
     @staticmethod

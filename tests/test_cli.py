@@ -197,7 +197,7 @@ def test_octmul(capsys):
     assert err.startswith("error: bad octonion expression")
     # numerals are digits or digits/digits only, so an exponent form is
     # rejected before it is expanded
-    for bad in ("1e100000000", "1e5000", "1.5*e1", "1_0"):
+    for bad in ("1e100000000", "1e5000", "1.5*e1", "1_0", "e0_7"):
         code, out, err = run_cli(capsys, "octmul", bad, "e1")
         assert (code, out) == (2, "")
         assert err.startswith("error: bad octonion expression")

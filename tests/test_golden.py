@@ -65,6 +65,20 @@ def test_corrupt_file_errors(tmp_path):
                               "irrep 1 1 z1000000\n")
     with pytest.raises(gold.GoldenFileError, match="huge_conductor.txt"):
         gold.load_golden_table(huge_conductor)
+    # order, sizes and orders are positive integers in plain ASCII digits
+    for i, header in enumerate(("order 0_5\nsizes 1 4\norders g 1 2\n",
+                                "order 5\nsizes 1 \u0664\norders g 1 2\n",
+                                "order 5\nsizes 0 5\norders g 1 2\n",
+                                "order 5\nsizes 1 4\norders g 1 -2\n",
+                                "order 5\nsizes 1 4\norders g 1 2_0\n")):
+        bad_integer = tmp_path / f"bad_integer_{i}.txt"
+        bad_integer.write_text("group g\n" + header + "irrep 1 1 1\n")
+        with pytest.raises(gold.GoldenFileError, match=bad_integer.name):
+            gold.load_golden_table(bad_integer)
+
+
+# a multiplicity is an integer of at least 1 in plain ASCII digits
+BAD_MULTIPLICITIES = ("-1(1)", "1_0(1)", "0(1)", "\u0662(1)", "(1)")
 
 
 def test_tensor_lines_errors_are_typed(tmp_path):
@@ -72,6 +86,10 @@ def test_tensor_lines_errors_are_typed(tmp_path):
     bad.write_text("1 x 1 = 1\n3_1 x 3_2 1 + 8\n")
     with pytest.raises(gold.GoldenFileError, match="tensors.txt"):
         gold.load_tensor_lines(bad)
+    for rhs in BAD_MULTIPLICITIES:
+        bad.write_text(f"1 x 1 = {rhs}\n")
+        with pytest.raises(gold.GoldenFileError, match="tensors.txt"):
+            gold.load_tensor_lines(bad)
     with pytest.raises(gold.GoldenFileError, match="missing.txt"):
         gold.load_tensor_lines(tmp_path / "missing.txt")
 
@@ -81,6 +99,10 @@ def test_branch_lines_errors_are_typed(tmp_path):
     bad.write_text("1 -> 1\n3_1 = 3_1\n")
     with pytest.raises(gold.GoldenFileError, match="branch.txt"):
         gold.load_branch_lines(bad)
+    for rhs in BAD_MULTIPLICITIES:
+        bad.write_text(f"1 -> {rhs}\n")
+        with pytest.raises(gold.GoldenFileError, match="branch.txt"):
+            gold.load_branch_lines(bad)
     with pytest.raises(gold.GoldenFileError, match="missing.txt"):
         gold.load_branch_lines(tmp_path / "missing.txt")
 

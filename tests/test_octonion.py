@@ -133,6 +133,7 @@ def test_octonion_expression_round_trip():
         y = rand_oct(rng)
         assert Octonion.parse(str(y)) == y
     for bad in ("e8", "", "e1 +", "1/0*e1", "2*", "z3",
-                "1e5", "1e100000000", "1e5*e1", "1.5*e1", "1_0", "2.0*e1"):
+                "1e5", "1e100000000", "1e5*e1", "1.5*e1", "1_0", "2.0*e1",
+                "e0_7", "e\u0663"):
         with pytest.raises(ValueError):
             Octonion.parse(bad)

@@ -71,7 +71,8 @@ def test_parse_errors():
         SignedPerm.parse("(e9)")
     with pytest.raises(ValueError):
         SignedPerm.parse("(e1 x2)")
-    for text in ("e1 e2", "(e1 e2) junk", "x(e1 e2)", "(e1 e2)e3", "((e1 e2))", "(e1 e2"):
+    for text in ("e1 e2", "(e1 e2) junk", "x(e1 e2)", "(e1 e2)e3", "((e1 e2))", "(e1 e2",
+                 "(e\u0661 e2)"):
         with pytest.raises(ValueError):
             SignedPerm.parse(text)
 
