@@ -26,7 +26,7 @@ builds, tables and reads the reference files of its component only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
@@ -91,9 +91,6 @@ def diagonal_involutions() -> dict[int, SignedPerm]:
     n[5] = n[7] * n[2]
     n[6] = n[7] * n[3]
     return dict(sorted(n.items()))
-
-
-GENERATOR_NAMES = tuple(sorted(_GENERATOR_TEXT) + ["N1", "N2", "N7"])
 
 
 @lru_cache(maxsize=None)
@@ -217,6 +214,22 @@ def _golden_table(filename: str, golden_dir: str | None) -> gold.GoldenTable:
     return gold.load_golden_table(_reference_path(filename, golden_dir))
 
 
+def _reference_lines(load, filename: str, golden_dir: str | None,
+                     parent: str, child: str) -> list:
+    """load(path) of a tensor or branch file, each label checked against a
+    reference table: a line's left side against parent's, its terms against
+    child's.  An unknown label raises GoldenFileError naming the file."""
+    path = _reference_path(filename, golden_dir)
+    lines = load(path)
+    labels = {n: _golden_table(ROSTER[n].golden_file, golden_dir).labels for n in (parent, child)}
+    for line in lines:
+        heads = (line.left, line.right) if isinstance(line, gold.ProductLine) else (line.parent,)
+        for name, lab in [(parent, h) for h in heads] + [(child, t) for t, _ in line.terms]:
+            if lab not in labels[name]:
+                raise gold.GoldenFileError(f"{path.name}: unknown irrep label {lab!r} for {name}")
+    return lines
+
+
 @lru_cache(maxsize=None)
 def _alignment_candidates(name: str, golden_dir: str | None) -> tuple[gold.Alignment, ...]:
     golden = _golden_table(ROSTER[name].golden_file, golden_dir)
@@ -270,9 +283,9 @@ def choose_alignments(golden_dir: str | None = None,
         if parent not in component:
             continue
         child_roster = BRANCH_CHILD_ROSTER[(parent, child)]
-        lines = gold.load_branch_lines(_reference_path(branch_file, golden_dir))
-        matrix = [list(r) for r in branch_matrix(parent, child_roster)]
-        constraints.append((parent, child_roster, matrix, lines))
+        lines = _reference_lines(gold.load_branch_lines, branch_file, golden_dir,
+                                 parent, child_roster)
+        constraints.append((parent, child_roster, branch_matrix(parent, child_roster), lines))
 
     for combo in product(*candidates):
         chosen = dict(zip(component, combo))
@@ -301,15 +314,6 @@ class Claim:
     computed: str
     expected: str
 
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "description": self.description,
-            "status": self.status,
-            "computed": self.computed,
-            "expected": self.expected,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -333,7 +337,7 @@ class VerificationReport:
         return [c for c in self.claims if c.status == "flagged"]
 
     def to_json(self) -> str:
-        return json.dumps([c.to_dict() for c in self.claims], indent=2, sort_keys=False)
+        return json.dumps([asdict(c) for c in self.claims], indent=2, sort_keys=False)
 
     def summary(self) -> str:
         n = len(self.claims)
@@ -360,23 +364,14 @@ def _diag_name(g: SignedPerm) -> str:
 
 def verify_all(golden_dir: str | None = None, pattern: str | None = None) -> VerificationReport:
     """Evaluate the recorded claims whose id contains pattern (every claim when
-    pattern is None or empty), in report order, and return the structured
-    report.  An empty golden_dir means the packaged data, as None does; equal
-    requests share one cache entry, whichever way they are spelled."""
-    return _report(golden_dir or None, pattern or None)
-
-
-@lru_cache(maxsize=None)
-def _report(golden_dir: str | None, pattern: str | None) -> VerificationReport:
+    pattern is None or empty), in report order, afresh on each call, and return
+    the structured report.  An empty golden_dir means the packaged data, as
+    None does."""
     rep = VerificationReport()
-    for claim_id, description, expected, check in _claims(golden_dir):
-        if pattern is None or pattern in claim_id:
+    for claim_id, description, expected, check in _claims(golden_dir or None):
+        if not pattern or pattern in claim_id:
             rep.run(claim_id, description, expected, check)
     return rep
-
-
-verify_all.cache_info = _report.cache_info
-verify_all.cache_clear = _report.cache_clear
 
 
 def _claims(golden_dir: str | None):
@@ -729,7 +724,7 @@ def _claims(golden_dir: str | None):
         if tf is None:
             continue
         def _tensors(name=name, tf=tf):
-            lines = gold.load_tensor_lines(_reference_path(tf, golden_dir))
+            lines = _reference_lines(gold.load_tensor_lines, tf, golden_dir, name, name)
             checks = gold.check_tensor_lines(al(name), lines)
             bad = [c for c in checks if not c.matches and not c.flagged]
             flagged = [c for c in checks if c.flagged]
@@ -757,9 +752,10 @@ def _claims(golden_dir: str | None):
     for (parent, child), branch_file in BRANCH_PAIRS.items():
         child_roster = BRANCH_CHILD_ROSTER[(parent, child)]
         def _branch(parent=parent, child_roster=child_roster, branch_file=branch_file):
-            lines = gold.load_branch_lines(_reference_path(branch_file, golden_dir))
-            matrix = [list(r) for r in branch_matrix(parent, child_roster)]
-            checks = gold.check_branch_lines(al(parent), al(child_roster), matrix, lines)
+            lines = _reference_lines(gold.load_branch_lines, branch_file, golden_dir,
+                                     parent, child_roster)
+            checks = gold.check_branch_lines(al(parent), al(child_roster),
+                                             branch_matrix(parent, child_roster), lines)
             bad = [c for c in checks if not c.matches]
             return (f"{len(checks)} rows checked, {len(bad)} mismatches", not bad)
         yield (f"branch.{parent}->{child}",

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from .groups import Group, ConjugacyClass
+from .groups import Group
 from .scalars import Cyclotomic, prime_factors
 
 Matrix = list[list[int]]
@@ -205,10 +205,6 @@ class CharacterTable:
         self.rows = rows
         self.prime = prime
         self.residues = residues
-
-    @property
-    def classes(self) -> tuple[ConjugacyClass, ...]:
-        return self.group.classes
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.degree for row in self.rows)

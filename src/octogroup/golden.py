@@ -8,8 +8,9 @@ verification report and the line checks below.
 File conventions
 ----------------
 
-Character-table files: ``group``, ``order``, ``sizes`` and one ``orders``
-line per group name, then one ``irrep <label> <cells...>`` line per row.
+Files are UTF-8.  Character-table files: ``group``, ``order``, ``sizes`` and
+one ``orders`` line per group name, then one ``irrep <label> <cells...>``
+line per row, each label on one row only.
 The order, class sizes and element orders are positive integers written
 in plain ASCII digits.  A cell may carry a known-misprint annotation
 ``printed!corrected``: the corrected value participates in all comparisons
@@ -25,7 +26,8 @@ conductor fails at once instead of expanding.
 Tensor files: lines ``<label> x <label> = <sum>``; a leading ``!`` flags a
 suspected misprint (compared and reported, never fatal).  Branch files:
 ``<label> -> <sum>``.  Sums use ``+`` and optional multiplicities ``k(label)``,
-where k is a positive integer in plain ASCII digits.
+where k is a positive integer in plain ASCII digits.  Every label must name
+an irrep of the reference table of its group (``catalog`` checks this).
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ class GoldenFileError(ValueError):
 
 def _read_lines(path: Path) -> list[str]:
     try:
-        return path.read_text().splitlines()
-    except OSError as exc:
+        return path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise GoldenFileError(f"cannot read reference file {path}: {exc}") from exc
 
 
@@ -139,6 +141,8 @@ def load_golden_table(path: Path | str) -> GoldenTable:
                 orders[fields[1]] = [_positive(x) for x in fields[2:]]
             elif kind == "irrep":
                 label = fields[1]
+                if label in labels:
+                    raise ValueError(f"duplicate irrep label {label!r}")
                 row = []
                 for col, cell in enumerate(fields[2:]):
                     val, printed = _split_flag(cell)
@@ -208,7 +212,7 @@ def find_alignments(table: CharacterTable, golden: GoldenTable,
         raise GoldenFileError(f"{golden.path}: no orders row for {group_name}")
     if table.group.order != golden.order:
         return []
-    classes = table.classes
+    classes = table.group.classes
     if len(classes) != golden.n_classes:
         return []
     golden_orders = golden.orders[group_name]
@@ -433,7 +437,7 @@ def find_tensor_relabeling(alignment: Alignment,
 
 
 def check_branch_lines(parent: Alignment, child: Alignment,
-                       branch_matrix: list[list[int]],
+                       branch_matrix: tuple[tuple[int, ...], ...],
                        lines: list[BranchLine]) -> list[LineCheck]:
     return [_check_line(child, branch_matrix[parent.irrep_index(line.parent)], line, False)
             for line in lines]

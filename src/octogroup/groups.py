@@ -23,7 +23,7 @@ from .signedperm import SignedPerm, conjugate
 
 
 class ClosureCapError(RuntimeError):
-    """Raised when a closure exceeds the configured element cap."""
+    """Raised when an orbit exceeds its cap."""
 
 
 class SubgroupError(ValueError):
@@ -85,9 +85,6 @@ class Group:
     def __contains__(self, g: SignedPerm) -> bool:
         return g in self.index
 
-    def __iter__(self):
-        return iter(self.elements)
-
     # -- conjugacy classes --------------------------------------------------
 
     @cached_property
@@ -140,14 +137,15 @@ class Group:
         return tuple(self.class_index(c.representative.inverse()) for c in self.classes)
 
 
-def close(generators: list[SignedPerm], cap: int = 10**6) -> Group:
-    """Breadth-first closure of the generators."""
+def close(generators: list[SignedPerm]) -> Group:
+    """Breadth-first closure of the generators; uncapped, as degree-n signed
+    permutations number 2^n * n! (645 120 at degree 7)."""
     if not generators:
         raise ValueError("need at least one generator")
     if len({g.degree for g in generators}) != 1:
         raise ValueError("generators must share a degree")
     identity = SignedPerm.identity(generators[0].degree)
-    return Group(list(orbit(identity, generators, mul, cap)), list(generators))
+    return Group(list(orbit(identity, generators, mul)), list(generators))
 
 
 def subgroup(parent: Group, generators: list[SignedPerm]) -> Group:

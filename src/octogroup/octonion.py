@@ -71,9 +71,6 @@ class Octonion:
     def __sub__(self, other: "Octonion") -> "Octonion":
         return Octonion(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "Octonion":
-        return Octonion(tuple(-a for a in self.coeffs))
-
     def scale(self, q: Fraction | int) -> "Octonion":
         q = Fraction(q)
         return Octonion(tuple(q * a for a in self.coeffs))
@@ -98,14 +95,6 @@ class Octonion:
                     k, s = _UNIT_TABLE[(i, j)]
                     out[k] += s * c
         return Octonion(tuple(out))
-
-    def conjugate(self) -> "Octonion":
-        """Negate the imaginary parts."""
-        return Octonion((self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]))
-
-    def norm(self) -> Fraction:
-        """Sum of squared coefficients; equals the scalar part of a * conj(a)."""
-        return sum(c * c for c in self.coeffs)
 
     def __str__(self) -> str:
         return signed_sum([(c, f"e{i}" if i else "") for i, c in enumerate(self.coeffs)])

@@ -54,12 +54,6 @@ class Quaternion:
     coeffs: tuple[QuadSqrt2, QuadSqrt2, QuadSqrt2, QuadSqrt2]
 
     @staticmethod
-    def of(*vals: QuadSqrt2 | Fraction | int) -> "Quaternion":
-        vals = vals + (0,) * (4 - len(vals))
-        return Quaternion(tuple(v if isinstance(v, QuadSqrt2) else QuadSqrt2.of(v)
-                                for v in vals))
-
-    @staticmethod
     def unit(i: int) -> "Quaternion":
         coeffs = [QUAD_ZERO] * 4
         coeffs[i] = QUAD_ONE

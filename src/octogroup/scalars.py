@@ -251,14 +251,7 @@ class Cyclotomic:
     def zero() -> "Cyclotomic":
         return Cyclotomic(1, ())
 
-    @staticmethod
-    def one() -> "Cyclotomic":
-        return Cyclotomic.from_rational(1)
-
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -283,12 +276,6 @@ class Cyclotomic:
         for e, c in other._dense(n).items():
             parts[e] = parts.get(e, Fraction(0)) + c
         return Cyclotomic.make(n, parts)
-
-    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        return self + (-other)
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, tuple((e, -c) for e, c in self.coeffs))
 
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         if self.conductor == 1 and other.conductor == 1:
@@ -358,23 +345,12 @@ class QuadSqrt2:
     def __add__(self, other: "QuadSqrt2") -> "QuadSqrt2":
         return QuadSqrt2(self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other: "QuadSqrt2") -> "QuadSqrt2":
-        return QuadSqrt2(self.a - other.a, self.b - other.b)
-
     def __neg__(self) -> "QuadSqrt2":
         return QuadSqrt2(-self.a, -self.b)
 
     def __mul__(self, other: "QuadSqrt2") -> "QuadSqrt2":
         return QuadSqrt2(self.a * other.a + 2 * self.b * other.b,
                          self.a * other.b + self.b * other.a)
-
-    def conjugate(self) -> "QuadSqrt2":
-        """The field conjugate a - b*sqrt(2)."""
-        return QuadSqrt2(self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - 2*b^2."""
-        return self.a * self.a - 2 * self.b * self.b
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -389,14 +365,6 @@ class QuadSqrt2:
             return -1
         # a and b have opposite signs; compare a^2 with 2 b^2
         return 1 if (self.a * self.a > 2 * self.b * self.b) == (self.a > 0) else -1
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        rad = "r2" if abs(self.b) == 1 else f"{abs(self.b)}*r2"
-        if self.a == 0:
-            return rad if self.b > 0 else f"-{rad}"
-        return f"{self.a} {'+' if self.b > 0 else '-'} {rad}"
 
 
 QUAD_ZERO = QuadSqrt2.of(0)

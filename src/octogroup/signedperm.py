@@ -100,24 +100,12 @@ class SignedPerm:
         """Image of 0-based point i as (point, sign)."""
         return self.image[i], self.signs[i]
 
-    def underlying(self) -> "SignedPerm":
-        """The same permutation with all signs +1."""
-        return SignedPerm(self.image, (1,) * self.degree)
-
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Canonical encoding used for ordering and deduplication."""
         return (self.image, self.signs)
 
     def __lt__(self, other: "SignedPerm") -> bool:
         return self.key() < other.key()
-
-    def matrix(self) -> list[list[int]]:
-        """Row i holds the image of basis vector i."""
-        n = self.degree
-        rows = [[0] * n for _ in range(n)]
-        for i, (j, s) in enumerate(zip(self.image, self.signs)):
-            rows[i][j] = s
-        return rows
 
     def doubled_is_even(self) -> bool:
         """Parity of the induced permutation of the 2n points +-e_i (True = even).

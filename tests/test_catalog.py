@@ -203,22 +203,17 @@ def test_report_json_and_filter(report):
     assert orders_only == [c for c in report.claims if "orders." in c.claim_id]
 
 
-def test_verify_all_spellings_share_one_cache_entry(report):
-    """Equal requests are one cache entry however they are spelled: None and
-    "" both mean the packaged data and every claim."""
-    misses = catalog.verify_all.cache_info().misses
-    assert catalog.verify_all() is report
-    assert catalog.verify_all(None, None) is report
-    assert catalog.verify_all("") is report
-    assert catalog.verify_all("", "") is report
-    assert catalog.verify_all.cache_info().misses == misses
-    # a request no other test makes: its three spellings add exactly one miss
+def test_verify_all_spellings_agree(report):
+    """None and "" both mean the packaged data and every claim; each call
+    evaluates afresh, so no report is kept between calls."""
+    assert not hasattr(catalog.verify_all, "cache_info")
     filtered = [catalog.verify_all(pattern="relations.frob"),
                 catalog.verify_all(None, "relations.frob"),
                 catalog.verify_all("", "relations.frob")]
-    assert catalog.verify_all.cache_info().misses == misses + 1
-    assert filtered[0] is filtered[1] is filtered[2]
+    assert filtered[0] is not filtered[1]
+    assert filtered[0].claims == filtered[1].claims == filtered[2].claims
     assert [c.claim_id for c in filtered[0].claims] == ["relations.frobenius"]
+    assert catalog.verify_all("", "").claims == report.claims
 
 
 def test_claim_families_match_benchmark_layers(report):

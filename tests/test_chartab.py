@@ -232,7 +232,7 @@ def test_value_conductors_divide_element_orders():
     t = catalog.table("2^3:7:3")
     for row in t.rows:
         for k, v in enumerate(row.values):
-            assert t.classes[k].element_order % v.conductor == 0
+            assert t.group.classes[k].element_order % v.conductor == 0
 
 
 def test_inner_product_rationality():

@@ -75,6 +75,28 @@ def test_corrupt_file_errors(tmp_path):
         bad_integer.write_text("group g\n" + header + "irrep 1 1 1\n")
         with pytest.raises(gold.GoldenFileError, match=bad_integer.name):
             gold.load_golden_table(bad_integer)
+    duplicate_label = tmp_path / "duplicate_label.txt"
+    duplicate_label.write_text("group g\norder 2\nsizes 1 1\norders g 1 2\n"
+                               "irrep 1 1 1\nirrep 1 1 -1\n")
+    with pytest.raises(gold.GoldenFileError, match="duplicate_label.txt.*'1'"):
+        gold.load_golden_table(duplicate_label)
+    not_utf8 = tmp_path / "not_utf8.txt"
+    not_utf8.write_bytes((gold.DATA_DIR / "chartab_7_3.txt").read_bytes() + b"\xff\xfe")
+    with pytest.raises(gold.GoldenFileError, match="not_utf8.txt"):
+        gold.load_golden_table(not_utf8)
+    unknown_label = tmp_path / "unknown_label.txt"
+    unknown_label.write_text("9_9 -> 1\n")
+    with pytest.raises(gold.GoldenFileError, match="unknown_label.txt.*'9_9'"):
+        reference_lines(tmp_path, gold.load_branch_lines, unknown_label.name, "2^3:7:3", "7:3")
+
+
+def reference_lines(tmp_path, load, filename, parent, child):
+    """catalog's reading of filename in tmp_path, next to copies of the
+    packaged reference tables of parent and child."""
+    for name in (parent, child):
+        table_file = catalog.ROSTER[name].golden_file
+        (tmp_path / table_file).write_bytes((gold.DATA_DIR / table_file).read_bytes())
+    return catalog._reference_lines(load, filename, str(tmp_path), parent, child)
 
 
 # a multiplicity is an integer of at least 1 in plain ASCII digits
@@ -92,6 +114,16 @@ def test_tensor_lines_errors_are_typed(tmp_path):
             gold.load_tensor_lines(bad)
     with pytest.raises(gold.GoldenFileError, match="missing.txt"):
         gold.load_tensor_lines(tmp_path / "missing.txt")
+    bad.write_bytes(b"1 x 1 = 1\n\xff\xfe\n")
+    with pytest.raises(gold.GoldenFileError, match="tensors.txt"):
+        gold.load_tensor_lines(bad)
+    # every label names an irrep of the group's reference table
+    bad.write_text("1_1 x 3_1 = 3_1\n")
+    assert reference_lines(tmp_path, gold.load_tensor_lines, bad.name, "2^3:7:3", "2^3:7:3")
+    for line in ("9_9 x 3_1 = 3_1", "1_1 x 9_9 = 3_1", "1_1 x 3_1 = 9_9"):
+        bad.write_text(line + "\n")
+        with pytest.raises(gold.GoldenFileError, match="tensors.txt.*'9_9'"):
+            reference_lines(tmp_path, gold.load_tensor_lines, bad.name, "2^3:7:3", "2^3:7:3")
 
 
 def test_branch_lines_errors_are_typed(tmp_path):
@@ -105,6 +137,16 @@ def test_branch_lines_errors_are_typed(tmp_path):
             gold.load_branch_lines(bad)
     with pytest.raises(gold.GoldenFileError, match="missing.txt"):
         gold.load_branch_lines(tmp_path / "missing.txt")
+    bad.write_bytes(b"1 -> 1\n\xff\xfe\n")
+    with pytest.raises(gold.GoldenFileError, match="branch.txt"):
+        gold.load_branch_lines(bad)
+    # the left side names an irrep of the parent's table, the terms the child's
+    bad.write_text("7_1 -> 1 + 3_1 + 3_2\n")
+    assert reference_lines(tmp_path, gold.load_branch_lines, bad.name, "2^3:7:3", "7:3")
+    for line in ("9_9 -> 1", "7_1 -> 1 + 9_9", "1 -> 7_1"):
+        bad.write_text(line + "\n")
+        with pytest.raises(gold.GoldenFileError, match="branch.txt.*'(9_9|7_1)'"):
+            reference_lines(tmp_path, gold.load_branch_lines, bad.name, "2^3:7:3", "7:3")
 
 
 def test_alignment_found_for_every_roster_table():

@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import pytest
 
@@ -10,6 +11,7 @@ from octogroup.groups import (
     find_complement,
     find_conjugating_element,
     is_normal,
+    orbit,
     quotient,
     subgroup,
 )
@@ -30,7 +32,7 @@ def test_closure_orders():
 
 def test_closure_cap():
     with pytest.raises(ClosureCapError):
-        close(gen("alpha", "gamma"), cap=100)
+        orbit(SignedPerm.identity(7), gen("alpha", "gamma"), mul, 100)
 
 
 def centralizer_order(group, g):

@@ -24,6 +24,7 @@ from octogroup import catalog
 from octogroup.groups import close
 
 half = Fraction(1, 2)
+zero = QuadSqrt2.of(0)
 
 
 def coset_of(q: Quaternion) -> str:
@@ -48,7 +49,7 @@ def test_quaternion_units():
 
 def test_order_eight_element():
     # (1 + e1)/sqrt(2) has order 8
-    q = Quaternion.of(QuadSqrt2.of(0, half), QuadSqrt2.of(0, half))
+    q = Quaternion((QuadSqrt2.of(0, half), QuadSqrt2.of(0, half), zero, zero))
     power = Quaternion.unit(0)
     orders = []
     for k in range(1, 9):
@@ -65,14 +66,13 @@ def test_binary_octahedral_counts():
 
 
 def test_specific_cosets():
-    q = Quaternion.of(half, half, half, half)
+    q = Quaternion((QuadSqrt2.of(half),) * 4)
     assert coset_of(q) == "V+"
-    r = Quaternion.of(QuadSqrt2.of(0), QuadSqrt2.of(0),
-                      QuadSqrt2.of(0, half), QuadSqrt2.of(0, half))
+    r = Quaternion((zero, zero, QuadSqrt2.of(0, half), QuadSqrt2.of(0, half)))
     assert coset_of(r) == "V1"
     assert coset_of(Quaternion.unit(0)) == "V0"
     with pytest.raises(ValueError):
-        coset_of(Quaternion.of(2))
+        coset_of(Quaternion((QuadSqrt2.of(2), zero, zero, zero)))
 
 
 def test_coset_products():
