@@ -214,20 +214,8 @@ def _golden_table(filename: str, golden_dir: str | None) -> gold.GoldenTable:
     return gold.load_golden_table(_reference_path(filename, golden_dir))
 
 
-def _reference_lines(load, filename: str, golden_dir: str | None,
-                     parent: str, child: str) -> list:
-    """load(path) of a tensor or branch file, each label checked against a
-    reference table: a line's left side against parent's, its terms against
-    child's.  An unknown label raises GoldenFileError naming the file."""
-    path = _reference_path(filename, golden_dir)
-    lines = load(path)
-    labels = {n: _golden_table(ROSTER[n].golden_file, golden_dir).labels for n in (parent, child)}
-    for line in lines:
-        heads = (line.left, line.right) if isinstance(line, gold.ProductLine) else (line.parent,)
-        for name, lab in [(parent, h) for h in heads] + [(child, t) for t, _ in line.terms]:
-            if lab not in labels[name]:
-                raise gold.GoldenFileError(f"{path.name}: unknown irrep label {lab!r} for {name}")
-    return lines
+def _labels(name: str, golden_dir: str | None) -> list[str]:
+    return _golden_table(ROSTER[name].golden_file, golden_dir).labels
 
 
 @lru_cache(maxsize=None)
@@ -283,8 +271,9 @@ def choose_alignments(golden_dir: str | None = None,
         if parent not in component:
             continue
         child_roster = BRANCH_CHILD_ROSTER[(parent, child)]
-        lines = _reference_lines(gold.load_branch_lines, branch_file, golden_dir,
-                                 parent, child_roster)
+        lines = gold.load_branch_lines(_reference_path(branch_file, golden_dir),
+                                       _labels(parent, golden_dir),
+                                       _labels(child_roster, golden_dir))
         constraints.append((parent, child_roster, branch_matrix(parent, child_roster), lines))
 
     for combo in product(*candidates):
@@ -724,7 +713,8 @@ def _claims(golden_dir: str | None):
         if tf is None:
             continue
         def _tensors(name=name, tf=tf):
-            lines = _reference_lines(gold.load_tensor_lines, tf, golden_dir, name, name)
+            lines = gold.load_tensor_lines(_reference_path(tf, golden_dir),
+                                           _labels(name, golden_dir))
             checks = gold.check_tensor_lines(al(name), lines)
             bad = [c for c in checks if not c.matches and not c.flagged]
             flagged = [c for c in checks if c.flagged]
@@ -752,8 +742,9 @@ def _claims(golden_dir: str | None):
     for (parent, child), branch_file in BRANCH_PAIRS.items():
         child_roster = BRANCH_CHILD_ROSTER[(parent, child)]
         def _branch(parent=parent, child_roster=child_roster, branch_file=branch_file):
-            lines = _reference_lines(gold.load_branch_lines, branch_file, golden_dir,
-                                     parent, child_roster)
+            lines = gold.load_branch_lines(_reference_path(branch_file, golden_dir),
+                                           _labels(parent, golden_dir),
+                                           _labels(child_roster, golden_dir))
             checks = gold.check_branch_lines(al(parent), al(child_roster),
                                              branch_matrix(parent, child_roster), lines)
             bad = [c for c in checks if not c.matches]

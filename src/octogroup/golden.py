@@ -10,7 +10,7 @@ File conventions
 
 Files are UTF-8.  Character-table files: ``group``, ``order``, ``sizes`` and
 one ``orders`` line per group name, then one ``irrep <label> <cells...>``
-line per row, each label on one row only.
+line per row, each label on one row only, and as many rows as classes.
 The order, class sizes and element orders are positive integers written
 in plain ASCII digits.  A cell may carry a known-misprint annotation
 ``printed!corrected``: the corrected value participates in all comparisons
@@ -20,14 +20,15 @@ eta_bar (optionally negated), which expand to z3, -1-z3, z7+z7^2+z7^4 and
 its conjugate.
 A character of a group of order N takes values in Q(z{N}), so every
 ``z{n}`` in a cell must have n dividing the ``order`` given on an earlier
-line.  This is checked before the cell is parsed, so a cell with a huge
-conductor fails at once instead of expanding.
+line, and n is at most 1344, the largest order of a roster group, so a cell
+with a huge conductor fails at once instead of expanding.
 
 Tensor files: lines ``<label> x <label> = <sum>``; a leading ``!`` flags a
 suspected misprint (compared and reported, never fatal).  Branch files:
 ``<label> -> <sum>``.  Sums use ``+`` and optional multiplicities ``k(label)``,
 where k is a positive integer in plain ASCII digits.  Every label must name
-an irrep of the reference table of its group (``catalog`` checks this).
+an irrep of the reference table of its group: the loaders take those labels
+and reject any other.
 """
 
 from __future__ import annotations
@@ -55,11 +56,26 @@ class GoldenFileError(ValueError):
     """Malformed reference data file."""
 
 
-def _read_lines(path: Path) -> list[str]:
+def _load_lines(path: Path, kind: str, parse) -> list:
+    """parse(line) for each non-blank, non-comment line of a UTF-8 file; a
+    ValueError or IndexError becomes a GoldenFileError naming the file and
+    the line."""
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise GoldenFileError(f"cannot read reference file {path}: {exc}") from exc
+    out = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            out.append(parse(line))
+        except (ValueError, IndexError) as exc:
+            raise GoldenFileError(f"{path.name}: bad line {raw!r}: {exc}") from exc
+    if not out:
+        raise GoldenFileError(f"{path.name}: no {kind} lines")
+    return out
 
 
 def _positive(text: str) -> int:
@@ -113,59 +129,51 @@ def _split_flag(cell: str) -> tuple[str, str | None]:
 
 def load_golden_table(path: Path | str) -> GoldenTable:
     path = Path(path)
-    names: list[str] = []
-    order = 0
-    sizes: list[int] = []
-    orders: dict[str, list[int]] = {}
-    labels: list[str] = []
-    values: list[list[Cyclotomic]] = []
-    flags: list[FlaggedCell] = []
-    for raw in _read_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "group":
-                names = fields[1:]
-            elif kind == "order":
-                order = _positive(fields[1])
-            elif kind == "sizes":
-                for col, cell in enumerate(fields[1:]):
-                    val, printed = _split_flag(cell)
-                    sizes.append(_positive(val))
-                    if printed is not None:
-                        flags.append(FlaggedCell(None, col, printed, val))
-            elif kind == "orders":
-                orders[fields[1]] = [_positive(x) for x in fields[2:]]
-            elif kind == "irrep":
-                label = fields[1]
-                if label in labels:
-                    raise ValueError(f"duplicate irrep label {label!r}")
-                row = []
-                for col, cell in enumerate(fields[2:]):
-                    val, printed = _split_flag(cell)
-                    row.append(_parse_value(val, order))
-                    if printed is not None:
-                        flags.append(FlaggedCell(label, col, printed, val))
-                labels.append(label)
-                values.append(row)
-            else:
-                raise GoldenFileError(f"unknown directive {kind!r}")
-        except (ValueError, IndexError) as exc:
-            raise GoldenFileError(f"{path.name}: bad line {raw!r}: {exc}") from exc
-    if not names or not sizes or not labels:
+    t = GoldenTable(str(path), [], 0, [], {}, [], [], [])
+
+    def parse(line: str) -> None:
+        kind, *fields = line.split()
+        if kind == "group":
+            t.names = fields
+        elif kind == "order":
+            t.order = _positive(fields[0])
+        elif kind == "sizes":
+            for col, cell in enumerate(fields):
+                val, printed = _split_flag(cell)
+                t.sizes.append(_positive(val))
+                if printed is not None:
+                    t.flags.append(FlaggedCell(None, col, printed, val))
+        elif kind == "orders":
+            t.orders[fields[0]] = [_positive(x) for x in fields[1:]]
+        elif kind == "irrep":
+            label, *cells = fields
+            if label in t.labels:
+                raise ValueError(f"duplicate irrep label {label!r}")
+            row = []
+            for col, cell in enumerate(cells):
+                val, printed = _split_flag(cell)
+                row.append(_parse_value(val, t.order))
+                if printed is not None:
+                    t.flags.append(FlaggedCell(label, col, printed, val))
+            t.labels.append(label)
+            t.values.append(row)
+        else:
+            raise ValueError(f"unknown directive {kind!r}")
+
+    _load_lines(path, "table", parse)
+    if not t.names or not t.sizes or not t.labels:
         raise GoldenFileError(f"{path.name}: incomplete reference table")
-    if sum(sizes) != order:
+    if sum(t.sizes) != t.order:
         raise GoldenFileError(f"{path.name}: class sizes do not sum to the order")
-    for name, olist in orders.items():
-        if len(olist) != len(sizes):
+    if len(t.labels) != len(t.sizes):
+        raise GoldenFileError(f"{path.name}: {len(t.labels)} irreps for {len(t.sizes)} classes")
+    for name, olist in t.orders.items():
+        if len(olist) != len(t.sizes):
             raise GoldenFileError(f"{path.name}: orders row for {name} has wrong length")
-    for label, row in zip(labels, values):
-        if len(row) != len(sizes):
+    for label, row in zip(t.labels, t.values):
+        if len(row) != len(t.sizes):
             raise GoldenFileError(f"{path.name}: row {label} has wrong length")
-    return GoldenTable(str(path), names, order, sizes, orders, labels, values, flags)
+    return t
 
 
 @dataclass
@@ -282,62 +290,52 @@ class BranchLine:
     raw: str
 
 
-def _parse_terms(text: str) -> tuple[tuple[str, int], ...]:
+def _known(label: str, labels: list[str]) -> str:
+    if label not in labels:
+        raise ValueError(f"unknown irrep label {label!r}")
+    return label
+
+
+def _parse_terms(text: str, labels: list[str]) -> tuple[tuple[str, int], ...]:
     terms: dict[str, int] = {}
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
-            raise GoldenFileError(f"empty term in {text!r}")
+            raise ValueError(f"empty term in {text!r}")
         if "(" in chunk:
             mult_str, rest = chunk.split("(", 1)
             if not rest.endswith(")"):
-                raise GoldenFileError(f"bad term {chunk!r}")
+                raise ValueError(f"bad term {chunk!r}")
             mult = _positive(mult_str.strip())
             label = rest[:-1].strip()
         else:
             mult, label = 1, chunk
+        label = _known(label, labels)
         terms[label] = terms.get(label, 0) + mult
     return tuple(sorted(terms.items()))
 
 
-def _load_lines(path: Path | str, kind: str, parse) -> list:
-    """parse(line) for each non-blank, non-comment line; any ValueError becomes
-    a GoldenFileError naming the file and the line."""
-    path = Path(path)
-    out = []
-    for raw in _read_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            out.append(parse(line))
-        except ValueError as exc:
-            raise GoldenFileError(f"{path.name}: bad line {raw!r}: {exc}") from exc
-    if not out:
-        raise GoldenFileError(f"{path.name}: no {kind} lines")
-    return out
+def load_tensor_lines(path: Path | str, labels: list[str]) -> list[ProductLine]:
+    """The lines of a tensor file, every label one of the reference labels."""
+    def parse(line: str) -> ProductLine:
+        flagged = line.startswith("!")
+        if flagged:
+            line = line[1:].strip()
+        head, rhs = line.split("=", 1)
+        left, right = (_known(part.strip(), labels) for part in head.split("x", 1))
+        return ProductLine(left, right, _parse_terms(rhs, labels), flagged, line)
+    return _load_lines(Path(path), "tensor", parse)
 
 
-def _product_line(line: str) -> ProductLine:
-    flagged = line.startswith("!")
-    if flagged:
-        line = line[1:].strip()
-    head, rhs = line.split("=", 1)
-    left, right = (part.strip() for part in head.split("x", 1))
-    return ProductLine(left, right, _parse_terms(rhs), flagged, line)
-
-
-def _branch_line(line: str) -> BranchLine:
-    head, rhs = line.split("->", 1)
-    return BranchLine(head.strip(), _parse_terms(rhs), line)
-
-
-def load_tensor_lines(path: Path | str) -> list[ProductLine]:
-    return _load_lines(path, "tensor", _product_line)
-
-
-def load_branch_lines(path: Path | str) -> list[BranchLine]:
-    return _load_lines(path, "branch", _branch_line)
+def load_branch_lines(path: Path | str, parent_labels: list[str],
+                      child_labels: list[str]) -> list[BranchLine]:
+    """The lines of a branch file, each left side one of parent_labels and
+    each term one of child_labels."""
+    def parse(line: str) -> BranchLine:
+        head, rhs = line.split("->", 1)
+        return BranchLine(_known(head.strip(), parent_labels),
+                          _parse_terms(rhs, child_labels), line)
+    return _load_lines(Path(path), "branch", parse)
 
 
 def render_terms(terms: tuple[tuple[str, int], ...]) -> str:
@@ -412,8 +410,6 @@ def find_tensor_relabeling(alignment: Alignment,
     for line in lines:
         if line.flagged:
             continue
-        if any(lab not in depth_of for lab, _ in line.terms):
-            return None
         names = [line.left, line.right, *(lab for lab, _ in line.terms)]
         ready[max(depth_of[lab] for lab in names)].append(line)
 

@@ -36,6 +36,15 @@ def _build_unit_table() -> dict[tuple[int, int], tuple[int, int]]:
 _UNIT_TABLE = _build_unit_table()
 
 
+def unit_product(i: int, j: int) -> tuple[int, int]:
+    """(k, sign) with e_i e_j = sign * e_k for i, j in 0..7, where e_0 = 1."""
+    if i == 0 or j == 0:
+        return i + j, 1
+    if i == j:
+        return 0, -1
+    return _UNIT_TABLE[(i, j)]
+
+
 def structure_constant(i: int, j: int, k: int) -> int:
     """phi_ijk in {-1, 0, +1} for i, j, k in 1..7."""
     if len({i, j, k}) < 3:
@@ -84,16 +93,8 @@ class Octonion:
             for j in range(8):
                 if not b[j]:
                     continue
-                c = a[i] * b[j]
-                if i == 0:
-                    out[j] += c
-                elif j == 0:
-                    out[i] += c
-                elif i == j:
-                    out[0] -= c
-                else:
-                    k, s = _UNIT_TABLE[(i, j)]
-                    out[k] += s * c
+                k, s = unit_product(i, j)
+                out[k] += s * a[i] * b[j]
         return Octonion(tuple(out))
 
     def __str__(self) -> str:

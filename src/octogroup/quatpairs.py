@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 
+from .octonion import unit_product
 from .scalars import QuadSqrt2, QUAD_ZERO, QUAD_ONE
 from .signedperm import SignedPerm
 
@@ -49,7 +50,8 @@ PAIRED_COSET = {"V0": "V0", "V+": "V-", "V-": "V+", "V1": "V1", "V2": "V2", "V3"
 
 @dataclass(frozen=True)
 class Quaternion:
-    """Quaternion over Q(sqrt(2)) on the basis (1, e1, e2, e3)."""
+    """Quaternion over Q(sqrt(2)) on the basis (1, e1, e2, e3), which multiply
+    as the octonion units do: (1, 2, 3) is a line of the Fano plane."""
 
     coeffs: tuple[QuadSqrt2, QuadSqrt2, QuadSqrt2, QuadSqrt2]
 
@@ -71,14 +73,7 @@ class Quaternion:
                 if b.is_zero():
                     continue
                 c = a * b
-                if i == 0:
-                    k, s = j, 1
-                elif j == 0:
-                    k, s = i, 1
-                elif i == j:
-                    k, s = 0, -1
-                else:
-                    k, s = _QTAB[(i, j)]
+                k, s = unit_product(i, j)
                 out[k] = out[k] + (c if s > 0 else -c)
         return Quaternion(tuple(out))
 
@@ -90,12 +85,6 @@ class Quaternion:
         for c in self.coeffs:
             total = total + c * c
         return total
-
-
-_QTAB = {}
-for (_i, _j, _k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-    _QTAB[(_i, _j)] = (_k, 1)
-    _QTAB[(_j, _i)] = (_k, -1)
 
 
 @lru_cache(maxsize=1)
@@ -223,7 +212,9 @@ def pair_group() -> tuple[IndexPair, ...]:
                  for q in range(len(label)) if label[q] == PAIRED_COSET[label[p]])
 
 
-_FOUR_BLOCK = (7, 4, 5, 6)  # octonion indices of e7 * (1, e1, e2, e3)
+# octonion indices of e7 * (1, e1, e2, e3) = (e7, e4, e5, e6), all with sign +1
+_FOUR_BLOCK = tuple(unit_product(7, i)[0] for i in range(4))
+assert all(unit_product(7, i)[1] == 1 for i in range(4))
 
 
 def pair_to_signedperm7(pair: IndexPair) -> SignedPerm:

@@ -147,6 +147,9 @@ def _solve_in_subfield(n: int, d: int, vec: list[Fraction]) -> list[Fraction] | 
 
 _NUMERAL = re.compile(r"[0-9]+(/[0-9]+)?")
 _ROOT = re.compile(r"z([0-9]+)(?:\^([0-9]+))?")
+# A character of a group of order N takes values in Q(z_N), and the largest
+# roster order is 1344; a larger parsed conductor would expand densely.
+MAX_PARSED_CONDUCTOR = 1344
 
 
 def signed_terms(text: str) -> list[tuple[Fraction, str]]:
@@ -324,6 +327,8 @@ class Cyclotomic:
                 term = Cyclotomic.from_rational(coeff)
             elif root := _ROOT.fullmatch(atom):
                 n, k = root.groups()
+                if int(n) > MAX_PARSED_CONDUCTOR:
+                    raise ValueError(f"conductor {n} exceeds {MAX_PARSED_CONDUCTOR}")
                 term = Cyclotomic.root(int(k or 1), int(n)).scale(coeff)
             else:
                 raise ValueError(f"bad cyclotomic term {atom!r}")

@@ -90,7 +90,9 @@ def consistent_combinations(component):
         if parent in component:
             child_roster = catalog.BRANCH_CHILD_ROSTER[(parent, child)]
             checks.append((parent, child_roster, catalog.branch_matrix(parent, child_roster),
-                           gold.load_branch_lines(gold.DATA_DIR / branch_file)))
+                           gold.load_branch_lines(gold.DATA_DIR / branch_file,
+                                                  catalog._labels(parent, None),
+                                                  catalog._labels(child_roster, None))))
 
     def reproduces(chosen, parent, child, matrix, line):
         row = matrix[chosen[parent].label_to_row[line.parent]]

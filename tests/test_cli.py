@@ -141,7 +141,8 @@ def test_chartab_corrupt_golden_dir(capsys, tmp_path):
 
 def test_chartab_reference_errors_name_the_file(capsys, tmp_path):
     """A branching line naming an unknown label, a table with a duplicate irrep
-    label and a file that is not UTF-8 are usage errors naming the file."""
+    label, a file that is not UTF-8 and a cell whose conductor divides the
+    file's order but exceeds 1344 are usage errors naming the file."""
     for f in DATA_DIR.iterdir():
         (tmp_path / f.name).write_bytes(f.read_bytes())
 
@@ -158,6 +159,9 @@ def test_chartab_reference_errors_name_the_file(capsys, tmp_path):
     table.write_bytes(packaged.replace(b"irrep 3_2", b"irrep 3_1"))
     usage_error("PSL2(7)-second", table)
     table.write_bytes(packaged + b"\xff\xfe")
+    usage_error("PSL2(7)-second", table)
+    table.write_text("group PSL2(7) PSL2(7)-second\norder 20000\nsizes 20000\n"
+                     "orders PSL2(7)-second 1\nirrep 1 z20000\n")
     usage_error("PSL2(7)-second", table)
 
 

@@ -59,12 +59,14 @@ def test_corrupt_file_errors(tmp_path):
     with pytest.raises(gold.GoldenFileError, match="zero_denominator.txt"):
         gold.load_golden_table(zero_denominator)
     # a character of a group of order 5 takes values in Q(z5): a conductor
-    # that does not divide the order is rejected before the cell is expanded
+    # that does not divide the order, or exceeds the largest roster order
+    # 1344, is rejected before the cell is expanded
     huge_conductor = tmp_path / "huge_conductor.txt"
-    huge_conductor.write_text("group g\norder 5\nsizes 1 4\norders g 1 2\n"
-                              "irrep 1 1 z1000000\n")
-    with pytest.raises(gold.GoldenFileError, match="huge_conductor.txt"):
-        gold.load_golden_table(huge_conductor)
+    for order, sizes, cell in ((5, "1 4", "z1000000"), (10007, "1 10006", "z10007")):
+        huge_conductor.write_text(f"group g\norder {order}\nsizes {sizes}\norders g 1 2\n"
+                                  f"irrep 1 1 {cell}\n")
+        with pytest.raises(gold.GoldenFileError, match="huge_conductor.txt.*conductor"):
+            gold.load_golden_table(huge_conductor)
     # order, sizes and orders are positive integers in plain ASCII digits
     for i, header in enumerate(("order 0_5\nsizes 1 4\norders g 1 2\n",
                                 "order 5\nsizes 1 \u0664\norders g 1 2\n",
@@ -87,16 +89,23 @@ def test_corrupt_file_errors(tmp_path):
     unknown_label = tmp_path / "unknown_label.txt"
     unknown_label.write_text("9_9 -> 1\n")
     with pytest.raises(gold.GoldenFileError, match="unknown_label.txt.*'9_9'"):
-        reference_lines(tmp_path, gold.load_branch_lines, unknown_label.name, "2^3:7:3", "7:3")
+        gold.load_branch_lines(unknown_label, *reference_labels("2^3:7:3", "7:3"))
+    # a character table is square: an extra row would have no computed row
+    extra_row = tmp_path / "extra_row.txt"
+    extra_row.write_text((gold.DATA_DIR / "chartab_7_3.txt").read_text()
+                         + "irrep 9_9 2 2 2 2 2\n")
+    with pytest.raises(gold.GoldenFileError, match="extra_row.txt: 6 irreps for 5 classes"):
+        gold.load_golden_table(extra_row)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing but a comment\n")
+    with pytest.raises(gold.GoldenFileError, match="empty.txt: no table lines"):
+        gold.load_golden_table(empty)
 
 
-def reference_lines(tmp_path, load, filename, parent, child):
-    """catalog's reading of filename in tmp_path, next to copies of the
-    packaged reference tables of parent and child."""
-    for name in (parent, child):
-        table_file = catalog.ROSTER[name].golden_file
-        (tmp_path / table_file).write_bytes((gold.DATA_DIR / table_file).read_bytes())
-    return catalog._reference_lines(load, filename, str(tmp_path), parent, child)
+def reference_labels(*names):
+    """The irrep labels of the packaged reference table of each named group."""
+    return [gold.load_golden_table(gold.DATA_DIR / catalog.ROSTER[name].golden_file).labels
+            for name in names]
 
 
 # a multiplicity is an integer of at least 1 in plain ASCII digits
@@ -106,47 +115,49 @@ BAD_MULTIPLICITIES = ("-1(1)", "1_0(1)", "0(1)", "\u0662(1)", "(1)")
 def test_tensor_lines_errors_are_typed(tmp_path):
     bad = tmp_path / "tensors.txt"
     bad.write_text("1 x 1 = 1\n3_1 x 3_2 1 + 8\n")
+    labels, = reference_labels("2^3:7:3")
     with pytest.raises(gold.GoldenFileError, match="tensors.txt"):
-        gold.load_tensor_lines(bad)
+        gold.load_tensor_lines(bad, labels)
     for rhs in BAD_MULTIPLICITIES:
         bad.write_text(f"1 x 1 = {rhs}\n")
         with pytest.raises(gold.GoldenFileError, match="tensors.txt"):
-            gold.load_tensor_lines(bad)
+            gold.load_tensor_lines(bad, labels)
     with pytest.raises(gold.GoldenFileError, match="missing.txt"):
-        gold.load_tensor_lines(tmp_path / "missing.txt")
+        gold.load_tensor_lines(tmp_path / "missing.txt", labels)
     bad.write_bytes(b"1 x 1 = 1\n\xff\xfe\n")
     with pytest.raises(gold.GoldenFileError, match="tensors.txt"):
-        gold.load_tensor_lines(bad)
+        gold.load_tensor_lines(bad, labels)
     # every label names an irrep of the group's reference table
     bad.write_text("1_1 x 3_1 = 3_1\n")
-    assert reference_lines(tmp_path, gold.load_tensor_lines, bad.name, "2^3:7:3", "2^3:7:3")
+    assert gold.load_tensor_lines(bad, labels)
     for line in ("9_9 x 3_1 = 3_1", "1_1 x 9_9 = 3_1", "1_1 x 3_1 = 9_9"):
         bad.write_text(line + "\n")
         with pytest.raises(gold.GoldenFileError, match="tensors.txt.*'9_9'"):
-            reference_lines(tmp_path, gold.load_tensor_lines, bad.name, "2^3:7:3", "2^3:7:3")
+            gold.load_tensor_lines(bad, labels)
 
 
 def test_branch_lines_errors_are_typed(tmp_path):
     bad = tmp_path / "branch.txt"
     bad.write_text("1 -> 1\n3_1 = 3_1\n")
+    labels = reference_labels("2^3:7:3", "7:3")
     with pytest.raises(gold.GoldenFileError, match="branch.txt"):
-        gold.load_branch_lines(bad)
+        gold.load_branch_lines(bad, *labels)
     for rhs in BAD_MULTIPLICITIES:
         bad.write_text(f"1 -> {rhs}\n")
         with pytest.raises(gold.GoldenFileError, match="branch.txt"):
-            gold.load_branch_lines(bad)
+            gold.load_branch_lines(bad, *labels)
     with pytest.raises(gold.GoldenFileError, match="missing.txt"):
-        gold.load_branch_lines(tmp_path / "missing.txt")
+        gold.load_branch_lines(tmp_path / "missing.txt", *labels)
     bad.write_bytes(b"1 -> 1\n\xff\xfe\n")
     with pytest.raises(gold.GoldenFileError, match="branch.txt"):
-        gold.load_branch_lines(bad)
+        gold.load_branch_lines(bad, *labels)
     # the left side names an irrep of the parent's table, the terms the child's
     bad.write_text("7_1 -> 1 + 3_1 + 3_2\n")
-    assert reference_lines(tmp_path, gold.load_branch_lines, bad.name, "2^3:7:3", "7:3")
+    assert gold.load_branch_lines(bad, *labels)
     for line in ("9_9 -> 1", "7_1 -> 1 + 9_9", "1 -> 7_1"):
         bad.write_text(line + "\n")
         with pytest.raises(gold.GoldenFileError, match="branch.txt.*'(9_9|7_1)'"):
-            reference_lines(tmp_path, gold.load_branch_lines, bad.name, "2^3:7:3", "7:3")
+            gold.load_branch_lines(bad, *labels)
 
 
 def test_alignment_found_for_every_roster_table():
@@ -163,7 +174,8 @@ def test_alignment_maps_are_bijective():
 
 
 def test_product_line_parsing():
-    lines = gold.load_tensor_lines(gold.DATA_DIR / "tensors_1344.txt")
+    lines = gold.load_tensor_lines(gold.DATA_DIR / "tensors_1344.txt",
+                                   *reference_labels("2^3.PSL2(7)"))
     by_raw = {(l.left, l.right, l.flagged): l for l in lines}
     plain = by_raw[("3_1", "3_1", False)]
     assert plain.terms == (("3_2", 1), ("6", 1))
@@ -174,7 +186,8 @@ def test_product_line_parsing():
 
 
 def test_branch_line_parsing():
-    lines = gold.load_branch_lines(gold.DATA_DIR / "branch_psl2_7_to_7_3.txt")
+    lines = gold.load_branch_lines(gold.DATA_DIR / "branch_psl2_7_to_7_3.txt",
+                                   *reference_labels("PSL2(7)", "7:3"))
     assert len(lines) == 6
     assert lines[-1].parent == "8"
     assert dict(lines[-1].terms) == {"1_1": 1, "1_2": 1, "3_1": 1, "3_2": 1}
@@ -231,7 +244,8 @@ def test_tensor_relabeling_matches_brute_force():
     with one line made unreproducible."""
     name = "2^3.S4"
     a = catalog.alignment(name)
-    lines = gold.load_tensor_lines(gold.DATA_DIR / catalog.ROSTER[name].tensor_file)
+    lines = gold.load_tensor_lines(gold.DATA_DIR / catalog.ROSTER[name].tensor_file,
+                                   *reference_labels(name))
     found = gold.find_tensor_relabeling(a, lines)
     assert found is not None and found != {lab: lab for lab in found}
     assert list(found.items()) == list(brute_force_relabeling(a, lines).items())

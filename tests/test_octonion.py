@@ -11,6 +11,7 @@ from octogroup.octonion import (
     is_algebra_automorphism,
     structure_constant,
     triad_type,
+    unit_product,
 )
 from octogroup import catalog
 
@@ -36,7 +37,9 @@ def test_unit_products():
     assert e(1) * e(2) == e(3)
     assert e(5) * e(5) == e(0).scale(-1)
     assert e(7) * e(1) == e(4)
-    assert e(0) * e(4) == e(4)
+    assert e(0) * e(4) == e(4) == e(4) * e(0)
+    # e7 * (1, e1, e2, e3) = (e7, e4, e5, e6), the block the quaternion pairs act on
+    assert [unit_product(7, i) for i in range(4)] == [(7, 1), (4, 1), (5, 1), (6, 1)]
 
 
 def test_structure_constants():

@@ -133,6 +133,8 @@ def test_parse_round_trip():
     assert Cyclotomic.parse("1/2*z3 - 1/2*z3^2") == \
         MU.scale(Fraction(1, 2)) + MU_BAR.scale(Fraction(-1, 2))
     assert Cyclotomic.parse("0") == Cyclotomic.zero()
+    # a root of the largest roster order 1344 still parses
+    assert Cyclotomic.parse("z1344^1344") == Cyclotomic.from_rational(1)
     # eta rendered canonically equals the root sum
     assert Cyclotomic.parse(str(ETA)) == \
         Cyclotomic.root(1, 7) + Cyclotomic.root(2, 7) + Cyclotomic.root(4, 7)
@@ -146,7 +148,9 @@ def test_parse_rejects_garbage():
     for bad in ("", "z", "1 +", "q3", "1/0", "1/0*z3", "2*", "z3^",
                 "1e5", "1e100000000", "1e5*z3", "1.5", "1_0", "1_0*z3", "0x10",
                 # root indices are plain ASCII digits
-                "z1_2", "z3^0_2", "z\u0663", "z3^\u0662"):
+                "z1_2", "z3^0_2", "z\u0663", "z3^\u0662",
+                # conductors above the largest roster order 1344
+                "z1345", "z10007", "1 + z20000^3"):
         with pytest.raises(ValueError):
             Cyclotomic.parse(bad)
 
