@@ -290,13 +290,13 @@ class BranchLine:
     raw: str
 
 
-def _known(label: str, labels: list[str]) -> str:
+def _known(label: str, labels: list[str], what: str) -> str:
     if label not in labels:
-        raise ValueError(f"unknown irrep label {label!r}")
+        raise ValueError(f"unknown {what} label {label!r}")
     return label
 
 
-def _parse_terms(text: str, labels: list[str]) -> tuple[tuple[str, int], ...]:
+def _parse_terms(text: str, labels: list[str], what: str) -> tuple[tuple[str, int], ...]:
     terms: dict[str, int] = {}
     for chunk in text.split("+"):
         chunk = chunk.strip()
@@ -310,7 +310,7 @@ def _parse_terms(text: str, labels: list[str]) -> tuple[tuple[str, int], ...]:
             label = rest[:-1].strip()
         else:
             mult, label = 1, chunk
-        label = _known(label, labels)
+        label = _known(label, labels, what)
         terms[label] = terms.get(label, 0) + mult
     return tuple(sorted(terms.items()))
 
@@ -322,8 +322,8 @@ def load_tensor_lines(path: Path | str, labels: list[str]) -> list[ProductLine]:
         if flagged:
             line = line[1:].strip()
         head, rhs = line.split("=", 1)
-        left, right = (_known(part.strip(), labels) for part in head.split("x", 1))
-        return ProductLine(left, right, _parse_terms(rhs, labels), flagged, line)
+        left, right = (_known(part.strip(), labels, "irrep") for part in head.split("x", 1))
+        return ProductLine(left, right, _parse_terms(rhs, labels, "irrep"), flagged, line)
     return _load_lines(Path(path), "tensor", parse)
 
 
@@ -333,8 +333,8 @@ def load_branch_lines(path: Path | str, parent_labels: list[str],
     each term one of child_labels."""
     def parse(line: str) -> BranchLine:
         head, rhs = line.split("->", 1)
-        return BranchLine(_known(head.strip(), parent_labels),
-                          _parse_terms(rhs, child_labels), line)
+        return BranchLine(_known(head.strip(), parent_labels, "parent irrep"),
+                          _parse_terms(rhs, child_labels, "child irrep"), line)
     return _load_lines(Path(path), "branch", parse)
 
 

@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from octogroup.scalars import Cyclotomic, QuadSqrt2, cyclotomic_polynomial
+from octogroup.scalars import (MAX_PARSED_CONDUCTOR, Cyclotomic, QuadSqrt2,
+                               cyclotomic_polynomial)
 
 from octogroup import catalog
 
@@ -153,6 +154,12 @@ def test_parse_rejects_garbage():
                 "z1345", "z10007", "1 + z20000^3"):
         with pytest.raises(ValueError):
             Cyclotomic.parse(bad)
+
+
+def test_parsed_conductor_cap_is_largest_roster_order():
+    """A reference table's cells lie in Q(z_N) for its group's order N, so the
+    cap admits every roster table and nothing beyond the largest of them."""
+    assert MAX_PARSED_CONDUCTOR == max(e.expected_order for e in catalog.ROSTER.values())
 
 
 def test_cyclotomic_polynomials():
