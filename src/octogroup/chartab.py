@@ -9,11 +9,12 @@ against both orthogonality relations before it is returned.
 
 A table keeps each row's values mod p (``CharacterTable.residues``), the
 image of the exact row under one ring map Z[zeta_e] -> GF(p).  Tensor-product
-multiplicities are computed there (Dixon 1967): an integer m with
-0 <= m <= floor(sqrt|G|) < p/2 is its own residue mod p, and p does not
-divide |G| because p = 1 (mod exponent), so |G|^-1 exists mod p.  Inner
-products, decompositions of arbitrary class functions, branching matrices and
-Frobenius-Schur indicators stay exact over the cyclotomics.
+multiplicities and Frobenius-Schur indicators are computed there (Dixon
+1967): p does not divide |G| because p = 1 (mod exponent), so |G|^-1 exists
+mod p; an integer m with 0 <= m <= floor(sqrt|G|) < p/2 is its own residue
+mod p, and an indicator in {-1, 0, 1} is read from the residue p - 1, 0 or 1.
+Inner products, decompositions of arbitrary class functions and branching
+matrices stay exact over the cyclotomics.
 """
 
 from __future__ import annotations
@@ -260,18 +261,6 @@ def character_table(group: Group) -> CharacterTable:
     return table
 
 
-def _power_classes(group: Group, k: int) -> list[int]:
-    """Class index of rep**t for t = 0..order-1, for class index k."""
-    cls = group.classes[k]
-    rep = cls.representative
-    out = []
-    g = group.identity
-    for _ in range(cls.element_order):
-        out.append(group.class_index(g))
-        g = g * rep
-    return out
-
-
 def _lift_row(group: Group, w: list[int], p: int) -> tuple[CharacterRow, tuple[int, ...]]:
     """The row of the eigenvector w (w[0] = 1), and its values mod p."""
     classes = group.classes
@@ -294,7 +283,7 @@ def _lift_row(group: Group, w: list[int], p: int) -> tuple[CharacterRow, tuple[i
         if m == 1:
             values.append(Cyclotomic.from_rational(degree))
             continue
-        powers = _power_classes(group, k)
+        powers = group.power_classes[k]
         theta = pow(z, (p - 1) // m, p)
         minv = pow(m, p - 2, p)
         parts: dict[int, Fraction] = {}
@@ -443,13 +432,21 @@ def branch(parent_table: CharacterTable, child_table: CharacterTable) -> list[li
 
 
 def frobenius_schur(table: CharacterTable, i: int) -> int:
-    """(1/|G|) sum_g chi(g^2), via the squaring power map; in {-1, 0, +1}."""
-    group = table.group
-    pm = group.power_map(2)
-    total = Cyclotomic.zero()
-    for k, cls in enumerate(group.classes):
-        total = total + table.rows[i].values[pm[k]].scale(cls.size)
-    value = total.rational_value() / group.order
-    if value.denominator != 1 or abs(value) > 1:
-        raise ValueError(f"Frobenius-Schur indicator {value} out of range")
-    return int(value)
+    """The Frobenius-Schur indicator (1/|G|) sum_g chi_i(g^2), in {-1, 0, +1}.
+
+    Computed from row i's residues mod the Dixon prime p, through the
+    squaring power map: nu = |G|^-1 sum_c |C_c| r_i[c^2] mod p.  The sum
+    |G| nu = sum_c |C_c| chi_i(g_c^2) holds in Z[zeta_e] and so under the
+    table's ring map to GF(p); p does not divide |G|, and p > 2 keeps -1, 0
+    and 1 apart, so the indicator is the residue read as -1, 0 or 1 from
+    p - 1, 0 or 1.  Any other residue raises ValueError.
+    """
+    group, p = table.group, table.prime
+    if p < 3:
+        raise ValueError(f"prime {p} cannot tell the indicators -1 and 1 apart")
+    ri = table.residues[i]
+    total = sum(cls.size * ri[c] for cls, c in zip(group.classes, group.power_map(2)))
+    nu = total * pow(group.order, -1, p) % p
+    if nu not in (0, 1, p - 1):
+        raise ValueError(f"Frobenius-Schur residue {nu} mod {p} is not -1, 0 or 1")
+    return -1 if nu == p - 1 else nu

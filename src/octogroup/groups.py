@@ -1,10 +1,11 @@
 """Finite-group machinery over signed permutations.
 
 One orbit walk serves closure and conjugacy classes.  On top of it sit
-power maps, normality, the quotient by a normal subgroup as a conjugation
-action, the complement search by lifting generators, and the search for an
-element conjugating one subgroup onto another.  Every construction takes
-what it needs from its arguments.
+power maps (read from one cached table of the classes of each class
+representative's powers), normality, the quotient by a normal subgroup as a
+conjugation action, the complement search by lifting generators, and the
+search for an element conjugating one subgroup onto another.  Every
+construction takes what it needs from its arguments.
 
 Everything is deterministic: elements are ordered by their canonical
 encoding, conjugacy classes by (element order, size, representative), and
@@ -128,9 +129,23 @@ class Group:
             hist[cls.element_order] = hist.get(cls.element_order, 0) + cls.size
         return hist
 
+    @cached_property
+    def power_classes(self) -> tuple[tuple[int, ...], ...]:
+        """power_classes[c][t] is the class index of rep**t, for the
+        representative rep of class c and 0 <= t < order(rep)."""
+        table = []
+        for cls in self.classes:
+            row = []
+            g = self.identity
+            for _ in range(cls.element_order):
+                row.append(self.class_index(g))
+                g = g * cls.representative
+            table.append(tuple(row))
+        return tuple(table)
+
     def power_map(self, k: int) -> tuple[int, ...]:
         """Class index of g**k as a function of the class index of g."""
-        return tuple(self.class_index(cls.representative ** k) for cls in self.classes)
+        return tuple(row[k % len(row)] for row in self.power_classes)
 
     @cached_property
     def inverse_class(self) -> tuple[int, ...]:

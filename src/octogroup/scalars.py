@@ -17,7 +17,8 @@ zeta_d = zeta_n^(n/d)) is the conductor, and the solution gives the
 coefficients.  The solve is consistent exactly when the value lies in
 Q(zeta_d), and Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the
 first such d is the minimal conductor.  If no proper divisor solves, the
-conductor is n.
+conductor is n.  ``Cyclotomic.root`` writes a single root of unity in that
+form directly, from its order.
 
 Rational numbers are plain ``fractions.Fraction`` everywhere.
 """
@@ -242,8 +243,26 @@ class Cyclotomic:
 
     @staticmethod
     def root(k: int, n: int) -> "Cyclotomic":
-        """zeta_n^k in canonical form."""
-        return Cyclotomic.make(n, {k: 1})
+        """zeta_n^k in canonical form, without a subfield solve.
+
+        zeta_n^k is a primitive d-th root of unity, d = n / gcd(n, k).  For
+        d = 2m with m odd it is -zeta_m^((k' + m) / 2), k' = k / gcd(n, k),
+        because zeta_d^m = -1; otherwise it generates Q(zeta_d), so d is the
+        minimal conductor.  Either way one reduction mod Phi gives the
+        canonical coefficients.
+        """
+        if n < 1:
+            raise ValueError("conductor must be positive")
+        g = gcd(n, k)
+        d, e, sign = n // g, k // g, Fraction(1)
+        if d % 4 == 2:
+            d //= 2
+            e, sign = (e + d) // 2, -sign
+        if d == 1:
+            return Cyclotomic.from_rational(sign)
+        dense = [Fraction(0)] * d
+        dense[e % d] = sign
+        return Cyclotomic(d, tuple((i, c) for i, c in enumerate(_reduce_mod_phi(d, dense)) if c))
 
     @staticmethod
     def from_rational(q: Fraction | int) -> "Cyclotomic":
@@ -321,7 +340,7 @@ class Cyclotomic:
     @staticmethod
     def parse(text: str) -> "Cyclotomic":
         """Parse the ``z{n}^{k}`` grammar ('1/2*z3 - 1/2*z3^2', '-2', 'z7^4')."""
-        total = Cyclotomic.zero()
+        total = None
         for coeff, atom in signed_terms(text):
             if not atom:
                 term = Cyclotomic.from_rational(coeff)
@@ -332,7 +351,7 @@ class Cyclotomic:
                 term = Cyclotomic.root(int(k or 1), int(n)).scale(coeff)
             else:
                 raise ValueError(f"bad cyclotomic term {atom!r}")
-            total = total + term
+            total = term if total is None else total + term
         return total
 
 

@@ -6,6 +6,7 @@ from octogroup.chartab import (
     CharacterRow,
     CharacterTable,
     branch,
+    character_table,
     class_algebra,
     decompose,
     dixon_prime,
@@ -15,7 +16,9 @@ from octogroup.chartab import (
     primitive_root,
     tensor_decompose,
 )
+from octogroup.groups import close
 from octogroup.scalars import Cyclotomic
+from octogroup.signedperm import SignedPerm
 from octogroup import catalog
 
 
@@ -215,6 +218,53 @@ def test_frobenius_schur():
         inds = {a.row_to_label[i]: frobenius_schur(t, i) for i in range(len(t.rows))}
         assert inds["3_1"] == inds["3_2"] == 0
         assert all(v == 1 for lab, v in inds.items() if lab not in ("3_1", "3_2"))
+
+
+def exact_frobenius_schur(table, i):
+    """Reference: (1/|G|) sum_c |C_c| chi_i(g_c^2) over the cyclotomics, each
+    square's class found from the representative itself."""
+    group = table.group
+    total = Cyclotomic.zero()
+    for cls in group.classes:
+        square = group.class_index(cls.representative * cls.representative)
+        total = total + table.rows[i].values[square].scale(cls.size)
+    value = total.rational_value() / group.order
+    assert value.denominator == 1 and abs(value) <= 1
+    return int(value)
+
+
+def test_frobenius_schur_matches_exact_sum():
+    for name in catalog.ROSTER:
+        t = catalog.table(name)
+        for i in range(len(t.rows)):
+            assert frobenius_schur(t, i) == exact_frobenius_schur(t, i), (name, i)
+
+
+def test_quaternionic_irreps_of_q8_x_c2():
+    """Q8 x C2: Q8 as left multiplication by i and j on the basis 1, i, j, k,
+    C2 swapping two more points.  Its two 2-dimensional irreps are
+    quaternionic (indicator -1); the roster has no such irrep."""
+    left_i = SignedPerm((1, 0, 3, 2, 4, 5), (1, -1, 1, -1, 1, 1))
+    left_j = SignedPerm((2, 3, 0, 1, 4, 5), (1, -1, -1, 1, 1, 1))
+    swap = SignedPerm((0, 1, 2, 3, 5, 4), (1,) * 6)
+    t = character_table(close([left_i, left_j, swap]))
+    assert t.group.order == 16
+    inds = [frobenius_schur(t, i) for i in range(len(t.rows))]
+    assert inds == [exact_frobenius_schur(t, i) for i in range(len(t.rows))]
+    assert sorted(zip(t.degrees(), inds)) == [(1, 1)] * 8 + [(2, -1)] * 2
+
+
+def test_frobenius_schur_rejects_inexact_residues():
+    t = catalog.table("2^3.PSL2(7)")
+    group = t.group
+    triv = trivial_index(t)
+    # doubled residues put the trivial row's indicator at 2 mod p
+    doubled = tuple(tuple(2 * r % t.prime for r in row) for row in t.residues)
+    with pytest.raises(ValueError):
+        frobenius_schur(CharacterTable(group, t.rows, t.prime, doubled), triv)
+    # mod 2 the indicators -1 and 1 have one residue
+    with pytest.raises(ValueError):
+        frobenius_schur(CharacterTable(group, t.rows, 2, t.residues), triv)
 
 
 def test_indicators_count_square_roots_of_one():

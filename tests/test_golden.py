@@ -1,3 +1,4 @@
+import time
 from itertools import permutations, product
 
 import pytest
@@ -103,6 +104,28 @@ def test_corrupt_file_errors(tmp_path):
     empty.write_text("# nothing but a comment\n")
     with pytest.raises(gold.GoldenFileError, match="empty.txt: no table lines"):
         gold.load_golden_table(empty)
+
+
+def test_largest_conductor_cells_load_quickly(tmp_path):
+    """A chartab_1344.txt copy whose 121 value cells are all z1344 is bounded
+    work: it loads, or fails as GoldenFileError, within 2 seconds."""
+    lines = []
+    for line in (gold.DATA_DIR / "chartab_1344.txt").read_text().splitlines():
+        if line.startswith("irrep"):
+            _, label, *cells = line.split()
+            line = " ".join(["irrep", label] + ["z1344"] * len(cells))
+        lines.append(line)
+    assert sum(line.count("z1344") for line in lines) == 121
+    path = tmp_path / "chartab_1344.txt"
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    try:
+        table = gold.load_golden_table(path)
+    except gold.GoldenFileError:
+        pass
+    else:
+        assert {str(v) for row in table.values for v in row} == {"z1344"}
+    assert time.perf_counter() - start < 2.0
 
 
 def reference_labels(*names):

@@ -97,6 +97,24 @@ def test_power_maps():
             assert pm2[k] == 0
 
 
+def test_power_classes_match_repeated_multiplication():
+    """Row c of the cached power table lists the classes of rep**0, rep**1, ...
+    up to the order of rep, for every class of all 13 roster groups."""
+    for name in catalog.ROSTER:
+        group = catalog.build(name)
+        assert len(group.power_classes) == len(group.classes)
+        for cls, row in zip(group.classes, group.power_classes):
+            assert len(row) == cls.element_order, name
+            g = group.identity
+            for c in row:
+                assert group.index[g] in group.classes[c].member_indices, name
+                g = g * cls.representative
+            assert g == group.identity, name
+        for k in (-1, 0, 5):
+            assert group.power_map(k) == tuple(
+                group.class_index(cls.representative ** k) for cls in group.classes)
+
+
 def test_duplicate_elements_collapse():
     e = SignedPerm.identity(7)
     g = catalog.generator("delta")

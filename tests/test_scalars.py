@@ -24,6 +24,29 @@ def test_root_identity_cases():
     assert Cyclotomic.root(1, 1) == Cyclotomic.from_rational(1)
 
 
+def test_root_equals_make():
+    """root builds zeta_n^k's canonical form directly; make finds it by
+    subfield solves."""
+    for n in range(1, 49):
+        for k in range(-1, n):
+            assert Cyclotomic.root(k, n) == Cyclotomic.make(n, {k: 1}), (n, k)
+    rng = random.Random(24)
+    for n in (56, 84, 168):
+        for k in rng.sample(range(n), 10):
+            assert Cyclotomic.root(k, n) == Cyclotomic.make(n, {k: 1}), (n, k)
+    with pytest.raises(ValueError):
+        Cyclotomic.root(1, 0)
+
+
+def test_largest_conductor_root_numerically():
+    # zeta_1344^96 is a primitive 14th root of unity, so it lies in Q(zeta_7)
+    for k, conductor in ((1, 1344), (5, 1344), (96, 7), (448, 3), (671, 1344),
+                         (672, 1), (1343, 1344)):
+        x = Cyclotomic.parse(f"z1344^{k}")
+        assert x.conductor == conductor, k
+        assert abs(numeric(x) - cmath.exp(2j * cmath.pi * k / 1344)) < 1e-9
+
+
 def test_eta_matches_numeric_oracle():
     # eta = zeta_7 + zeta_7^2 + zeta_7^4 should equal (-1 + i sqrt 7) / 2
     # to at least 12 digits, evaluated independently via complex exponentials.
