@@ -390,8 +390,7 @@ def _claims(golden_dir: str | None):
 
     def _n_relations():
         n = diagonal_involutions()
-        triples = ((1, 2, 3), (1, 4, 7), (1, 6, 5), (2, 4, 6), (2, 5, 7), (3, 4, 5), (3, 6, 7))
-        ok = all(n[i] * n[j] == n[j] * n[i] == n[k] for i, j, k in triples)
+        ok = all(n[i] * n[j] == n[j] * n[i] == n[k] for i, j, k in FANO_LINES)
         ok = ok and all(x.order() == 2 for x in n.values())
         return (f"all seven products consistent: {ok}", ok)
     yield ("relations.diagonal-fano",

@@ -2,10 +2,13 @@
 
 Tables are computed with the Dixon-Schneider method: the class-sum
 multiplication matrices are simultaneously diagonalized over a prime field
-GF(p) with p = 1 (mod exponent) and p > 2*floor(sqrt(|G|)), and the
-eigenvalue data is lifted back to exact cyclotomic character values through
-discrete logarithms against a fixed primitive root.  Every table is checked
-against both orthogonality relations before it is returned.
+GF(p) with p = 1 (mod exponent), p > 2*floor(sqrt(|G|)) and p > the class
+count r (so characteristic polynomials divide only by units).  Starting from
+GF(p)^r, each class matrix in turn splits every subspace, kept as a reduced
+echelon basis, into its eigenspaces until all are lines; those eigenvectors
+are lifted back to exact cyclotomic character values through discrete
+logarithms against a fixed primitive root.  Every table is checked against
+both orthogonality relations before it is returned.
 
 A table keeps each row's values mod p (``CharacterTable.residues``), the
 image of the exact row under one ring map Z[zeta_e] -> GF(p).  Tensor-product
@@ -36,9 +39,10 @@ class SplitFailure(RuntimeError):
 
 # -- small number theory ----------------------------------------------------
 
-def dixon_prime(exponent: int, order: int) -> int:
-    """Smallest prime p = 1 (mod exponent) with p > 2*floor(sqrt(order))."""
-    bound = 2 * isqrt(order)
+def dixon_prime(exponent: int, order: int, classes: int) -> int:
+    """Smallest prime p = 1 (mod exponent) with p > 2*floor(sqrt(order)) and
+    p > classes, so that every k <= classes is a unit mod p."""
+    bound = max(2 * isqrt(order), classes)
     p = exponent + 1
     while p <= bound or prime_factors(p) != [p]:
         p += exponent
@@ -97,25 +101,22 @@ def _echelon(vectors: list[list[int]], p: int) -> tuple[list[list[int]], list[in
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
     return rows[:r], pivots
 
 
 def _charpoly(mat: Matrix, p: int) -> list[int]:
-    """Characteristic polynomial mod p (ascending), by Faddeev-LeVerrier."""
+    """Characteristic polynomial mod p (ascending), by Faddeev-LeVerrier,
+    which divides by 1, ..., n and so needs p > n."""
     n = len(mat)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
+    coeffs = [1]
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         am = [[sum(mat[i][t] * m[t][j] for t in range(n)) % p for j in range(n)]
               for i in range(n)]
-        tr = sum(am[i][i] for i in range(n)) % p
-        c = (-tr * pow(k, p - 2, p)) % p
-        coeffs[n - k] = c
+        c = -sum(am[i][i] for i in range(n)) * pow(k, p - 2, p) % p
+        coeffs.append(c)
         m = [[(am[i][j] + (c if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    return coeffs
+    return coeffs[::-1]
 
 
 def _poly_roots(coeffs: list[int], p: int) -> list[int]:
@@ -143,46 +144,36 @@ def _nullspace(mat: Matrix, p: int) -> list[list[int]]:
     return basis
 
 
-class _Subspace:
-    """An invariant subspace kept as a reduced echelon basis."""
+def _combine(coords: list[int], rows: Matrix, p: int) -> list[int]:
+    """The combination sum_t coords[t] * rows[t], mod p."""
+    return [sum(c * x for c, x in zip(coords, col)) % p for col in zip(*rows)]
 
-    def __init__(self, vectors: list[list[int]], p: int):
-        self.rows, self.pivots = _echelon(vectors, p)
-        self.p = p
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def coords(self, vec: list[int]) -> list[int]:
-        """Coordinates of vec against the echelon basis; error if outside."""
-        p = self.p
-        v = [x % p for x in vec]
-        out = []
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            out.append(c)
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        if any(v):
+def _split(space: Matrix, mat: Matrix, p: int) -> list[Matrix]:
+    """The eigenspaces of mat on the invariant subspace ``space``, each as a
+    reduced echelon basis like ``space`` itself.  A vector of the subspace has
+    its entries at the pivot columns as coordinates; in them the eigenspaces
+    are the kernels of mat - lam for each root lam of the characteristic
+    polynomial.  Raises SplitFailure if mat does not keep the subspace or is
+    not diagonalizable on it."""
+    pivots = [next(c for c, x in enumerate(row) if x) for row in space]
+    cols = []
+    for b in space:
+        image = [sum(m * x for m, x in zip(row, b)) % p for row in mat]
+        coords = [image[c] for c in pivots]
+        if _combine(coords, space, p) != image:
             raise SplitFailure("vector escapes an invariant subspace")
-        return out
-
-    def restrict(self, mat: Matrix) -> Matrix:
-        """Matrix of mat restricted to this subspace, in the echelon basis."""
-        n = len(mat)
-        cols = []
-        for b in self.rows:
-            image = [sum(mat[c][d] * b[d] for d in range(n)) % self.p for c in range(n)]
-            cols.append(self.coords(image))
-        # cols[t] = coordinates of mat*b_t; transpose into a matrix acting on coords
-        k = self.dim
-        return [[cols[t][s] for t in range(k)] for s in range(k)]
-
-    def lift(self, coords: list[int]) -> list[int]:
-        n = len(self.rows[0])
-        return [sum(coords[t] * self.rows[t][c] for t in range(self.dim)) % self.p
-                for c in range(n)]
+        cols.append(coords)
+    restricted = [list(row) for row in zip(*cols)]
+    eigenspaces = []
+    for lam in _poly_roots(_charpoly(restricted, p), p):
+        shifted = [[(x - (lam if a == b else 0)) % p for b, x in enumerate(row)]
+                   for a, row in enumerate(restricted)]
+        kernel = _nullspace(shifted, p)
+        eigenspaces.append(_echelon([_combine(c, space, p) for c in kernel], p)[0])
+    if sum(map(len, eigenspaces)) != len(space):
+        raise SplitFailure("class matrix not diagonalizable over GF(p)")
+    return eigenspaces
 
 
 # -- character tables --------------------------------------------------------
@@ -212,43 +203,21 @@ class CharacterTable:
 
 
 def character_table(group: Group) -> CharacterTable:
-    classes = group.classes
-    r = len(classes)
+    r = len(group.classes)
     matrices = class_algebra(group)
-    p = dixon_prime(group.exponent, group.order)
+    p = dixon_prime(group.exponent, group.order, r)
 
-    subspaces = [_Subspace([[1 if i == j else 0 for j in range(r)] for i in range(r)], p)]
-    for i in range(1, r):
-        if all(s.dim == 1 for s in subspaces):
-            break
-        mi = matrices[i]
-        refined: list[_Subspace] = []
-        for space in subspaces:
-            if space.dim == 1:
-                refined.append(space)
-                continue
-            restricted = space.restrict(mi)
-            total = 0
-            for lam in _poly_roots(_charpoly(restricted, p), p):
-                shifted = [[(restricted[a][b] - (lam if a == b else 0)) % p
-                            for b in range(space.dim)] for a in range(space.dim)]
-                kernel = _nullspace(shifted, p)
-                if kernel:
-                    refined.append(_Subspace([space.lift(c) for c in kernel], p))
-                    total += len(kernel)
-            if total != space.dim:
-                raise SplitFailure("class matrix not diagonalizable over GF(p)")
-        subspaces = refined
-    if any(s.dim != 1 for s in subspaces):
+    spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
+    for mat in matrices[1:]:
+        spaces = [eigenspace for space in spaces
+                  for eigenspace in (_split(space, mat, p) if len(space) > 1 else [space])]
+    if any(len(space) != 1 for space in spaces):
         raise SplitFailure("common eigenspaces did not all reach dimension 1")
 
     lifted = {}
-    for space in subspaces:
-        w = space.rows[0]
-        if w[0] == 0:
+    for (w,) in spaces:
+        if w[0] != 1:  # an echelon row is 1 at its pivot, so w[0] is 0 here
             raise SplitFailure("eigenvector vanishes at the identity class")
-        scale = pow(w[0], p - 2, p)
-        w = [(x * scale) % p for x in w]
         row, residues = _lift_row(group, w, p)
         key = (row.degree, tuple(str(v) for v in row.values))
         if key in lifted:
@@ -265,11 +234,9 @@ def _lift_row(group: Group, w: list[int], p: int) -> tuple[CharacterRow, tuple[i
     """The row of the eigenvector w (w[0] = 1), and its values mod p."""
     classes = group.classes
     r = len(classes)
-    inv_class = group.inverse_class
     # |G| / d^2 = sum_k w_k w_{k-bar} / |C_k|  (second orthogonality for omega)
-    s = 0
-    for k in range(r):
-        s = (s + w[k] * w[inv_class[k]] * pow(classes[k].size, p - 2, p)) % p
+    s = sum(w[k] * w[kbar] * pow(cls.size, p - 2, p)
+            for k, (cls, kbar) in enumerate(zip(classes, group.power_map(-1)))) % p
     d_sq = (group.order * pow(s, p - 2, p)) % p
     degree = next((d for d in range(1, isqrt(group.order) + 1) if d * d % p == d_sq), None)
     if degree is None:
@@ -401,7 +368,7 @@ def tensor_decompose(table: CharacterTable, i: int, j: int) -> list[int]:
     ri, rj = residues[i], residues[j]
     scale = pow(group.order, -1, p)
     u = [cls.size * ri[c] * rj[c] * scale % p
-         for cls, c in zip(group.classes, group.inverse_class)]
+         for cls, c in zip(group.classes, group.power_map(-1))]
     mults = [sum(map(mul, u, rk)) % p for rk in residues]
     bound = min(degrees[i], degrees[j])
     if any(m > min(bound, d) for m, d in zip(mults, degrees)):

@@ -67,7 +67,11 @@ def conjugate_action(g: SignedPerm, points: list[SignedPerm]) -> SignedPerm:
 
 
 class Group:
-    """A closed set of signed permutations with canonical indexing."""
+    """A closed set of signed permutations with canonical indexing.
+
+    Invariant: ``generators`` generate ``elements``.  Classes, normality and
+    the conjugacy search test generators only, and every constructor here
+    keeps it."""
 
     def __init__(self, elements: list[SignedPerm], generators: list[SignedPerm]):
         self.elements: tuple[SignedPerm, ...] = tuple(sorted(set(elements)))
@@ -147,10 +151,6 @@ class Group:
         """Class index of g**k as a function of the class index of g."""
         return tuple(row[k % len(row)] for row in self.power_classes)
 
-    @cached_property
-    def inverse_class(self) -> tuple[int, ...]:
-        return tuple(self.class_index(c.representative.inverse()) for c in self.classes)
-
 
 def close(generators: list[SignedPerm]) -> Group:
     """Breadth-first closure of the generators; uncapped, as degree-n signed
@@ -172,15 +172,11 @@ def subgroup(parent: Group, generators: list[SignedPerm]) -> Group:
 
 
 def is_normal(parent: Group, sub: Group) -> bool:
-    """g * H * g**-1 = H for every generator g of the parent."""
-    for h in sub.elements:
-        if h not in parent:
-            raise SubgroupError("claimed subgroup is not contained in the group")
-    for g in parent.generators:
-        for h in sub.elements:
-            if conjugate(h, g) not in sub:
-                return False
-    return True
+    """g * h * g**-1 lies in H for every generator g of the parent and h of H,
+    so g * H * g**-1 = H for every g in the parent."""
+    if any(h not in parent for h in sub.generators):
+        raise SubgroupError("claimed subgroup is not contained in the group")
+    return all(conjugate(h, g) in sub for g in parent.generators for h in sub.generators)
 
 
 def quotient(parent: Group, normal: Group, points: list[SignedPerm]) -> Group:
@@ -195,7 +191,7 @@ def quotient(parent: Group, normal: Group, points: list[SignedPerm]) -> Group:
     if sorted(points) != sorted(g for g in normal.elements if g != normal.identity):
         raise ValueError("points must list the nontrivial elements of the normal subgroup")
     gens = [conjugate_action(g, points) for g in parent.generators]
-    result = Group(list(orbit(SignedPerm.identity(len(points)), gens, mul)), gens)
+    result = close(gens)
     if result.order * normal.order != parent.order:
         raise AssertionError("conjugation on points is not a faithful action of the quotient")
     return result
@@ -228,12 +224,9 @@ def find_complement(parent: Group, normal: Group) -> Group | None:
 
 
 def find_conjugating_element(parent: Group, sub1: Group, sub2: Group) -> SignedPerm | None:
-    """Some g in parent with g * H1 * g**-1 = H2, or None."""
+    """The first g in parent with g * H1 * g**-1 = H2, or None.  With equal
+    orders it suffices that g conjugates the generators of H1 into H2."""
     if sub1.order != sub2.order:
         return None
-    target = set(sub2.elements)
-    for g in parent.elements:
-        gi = g.inverse()
-        if all((g * h) * gi in target for h in sub1.elements):
-            return g
-    return None
+    return next((g for g in parent.elements
+                 if all(conjugate(h, g) in sub2 for h in sub1.generators)), None)

@@ -29,10 +29,12 @@ def trivial_index(table):
 
 def test_dixon_prime_selection():
     # 337 = 2*168 + 1 is prime and exceeds 2*floor(sqrt(1344)) = 72
-    assert dixon_prime(168, 1344) == 337
-    assert dixon_prime(21, 21) == 43
-    assert dixon_prime(84, 168) == 337
-    assert dixon_prime(24, 192) == 73
+    assert dixon_prime(168, 1344, 11) == 337
+    assert dixon_prime(21, 21, 5) == 43
+    assert dixon_prime(84, 168, 6) == 337
+    assert dixon_prime(24, 192, 13) == 73
+    # Q8: 5 = 1 (mod 4) exceeds 2*floor(sqrt(8)) = 4 but not the 5 classes
+    assert dixon_prime(4, 8, 5) == 13
 
 
 def test_class_algebra_counts():
@@ -252,6 +254,18 @@ def test_quaternionic_irreps_of_q8_x_c2():
     inds = [frobenius_schur(t, i) for i in range(len(t.rows))]
     assert inds == [exact_frobenius_schur(t, i) for i in range(len(t.rows))]
     assert sorted(zip(t.degrees(), inds)) == [(1, 1)] * 8 + [(2, -1)] * 2
+
+
+def test_q8_with_as_many_classes_as_the_smallest_prime():
+    """Q8 as left multiplication by i and j on 1, i, j, k: 5 classes, and 5 is
+    the smallest prime = 1 (mod 4) above 2*floor(sqrt(8)), so the class count
+    alone pushes the Dixon prime to 13."""
+    left_i = SignedPerm((1, 0, 3, 2), (1, -1, 1, -1))
+    left_j = SignedPerm((2, 3, 0, 1), (1, -1, -1, 1))
+    t = character_table(close([left_i, left_j]))
+    assert (t.group.order, len(t.rows), t.prime) == (8, 5, 13)
+    assert t.degrees() == (1, 1, 1, 1, 2)
+    assert [frobenius_schur(t, i) for i in range(5)] == [1, 1, 1, 1, -1]
 
 
 def test_frobenius_schur_rejects_inexact_residues():

@@ -138,6 +138,9 @@ def test_subgroup_and_normality():
     assert is_normal(parent, parent)
     g21 = catalog.build("7:3")
     assert is_normal(g21, subgroup(g21, gen("alpha")))
+    alpha = subgroup(parent, gen("alpha"))
+    assert alpha.order == 7
+    assert not is_normal(parent, alpha)
     with pytest.raises(SubgroupError):
         subgroup(g21, gen("theta"))
 
