@@ -258,7 +258,9 @@ def choose_alignments(golden_dir: str | None = None,
     meets the combinations in the same lexicographic order.  Without a
     component, every roster table, merged from the per-component results;
     components share no list, so this is the whole-roster search's first
-    match."""
+    match.  An empty golden_dir returns the packaged data's result."""
+    if golden_dir == "":
+        return choose_alignments(None, component)
     if component is None:
         return {n: alignment(n, golden_dir) for n in ROSTER}
     candidates = [_alignment_candidates(n, golden_dir) for n in component]

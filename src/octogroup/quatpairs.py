@@ -9,13 +9,16 @@ h -> p h q and preserving V0 form a group of order 192 (after identifying
 
 The 48 elements are indexed once (``quaternion_index``): a fixed order, the
 coset label, negation and inverse maps, the sign ``QuaternionPair.of``
-canonicalizes on, and a 48 x 48 product table.  Each table entry is an exact
-``Quaternion`` product looked up in the group, so a product outside the group
-raises KeyError; no other code multiplies quaternions.  A pair [p, q] is the
+canonicalizes on, and a 48 x 48 product table.  ``Quaternion`` over
+``QuadSqrt2`` is the exact definition of the elements; the table is computed
+over the integers from their doubles, whose coordinates lie in Z[sqrt(2)],
+and a product outside the group raises KeyError.  A pair [p, q] is the
 canonical index pair (index of p, index of q).  The pair group, the degree-7
 images, the coset check and the checks over all 192 x 192 pair products and
-the pair involutions all read products off the table.  ``QuaternionPair``
-keeps the exact form as the reference the tests compare against.
+the pair involutions all read products off the table; the homomorphism check
+composes the images as permutations of the 14 signed points.
+``QuaternionPair`` keeps the exact form as the reference the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .octonion import unit_product
 from .scalars import QuadSqrt2, QUAD_ZERO, QUAD_ONE
@@ -157,6 +161,15 @@ class QuaternionPair:
 IndexPair = tuple[int, int]
 
 
+def doubled(q: Quaternion) -> tuple[tuple[int, int], ...]:
+    """2q as integer pairs (a, b), one per coordinate 2q_i = a + b sqrt(2);
+    ValueError unless every coordinate of q lies in 1/2 Z[sqrt(2)]."""
+    pairs = [(2 * c.a, 2 * c.b) for c in q.coeffs]
+    if any(x.denominator != 1 for ab in pairs for x in ab):
+        raise ValueError("a coordinate lies outside 1/2 Z[sqrt(2)]")
+    return tuple((int(a), int(b)) for a, b in pairs)
+
+
 class QuaternionIndex:
     """The binary octahedral group in the order of ``binary_octahedral()``."""
 
@@ -178,9 +191,23 @@ class QuaternionIndex:
 
     @cached_property
     def mul(self) -> tuple[tuple[int, ...], ...]:
-        """mul[i][j] is the index of elements[i] * elements[j]."""
-        return tuple(tuple(self.position[a * b] for b in self.elements)
-                     for a in self.elements)
+        """mul[i][j] is the index of elements[i] * elements[j].  (2p)(2q) = 4pq
+        sums the ``unit_product`` terms (a + b sqrt2)(c + d sqrt2) =
+        (ac + 2bd) + (ad + bc) sqrt2 over the nonzero coordinates of the
+        doubles, and is looked up among the doubled doubles 2 (2r)."""
+        double = [doubled(q) for q in self.elements]
+        position = {tuple(2 * x for ab in d for x in ab): i for i, d in enumerate(double)}
+        nonzero = [[(i, a, b) for i, (a, b) in enumerate(d) if a or b] for d in double]
+
+        def times(x, y):
+            out = [0] * 8
+            for i, a, b in x:
+                for j, c, d in y:
+                    k, s = unit_product(i, j)
+                    out[2 * k] += s * (a * c + 2 * b * d)
+                    out[2 * k + 1] += s * (a * d + b * c)
+            return tuple(out)
+        return tuple(tuple(position[times(x, y)] for y in nonzero) for x in nonzero)
 
     def pair(self, p: int, q: int) -> IndexPair:
         """The canonical index pair of [elements[p], elements[q]]."""
@@ -245,7 +272,10 @@ def pair_images() -> dict[IndexPair, SignedPerm]:
 
 def is_homomorphism(images: dict[IndexPair, SignedPerm]) -> bool:
     """images[a * b] == images[a] * images[b] for every ordered pair of keys,
-    with a * b read off the product table."""
+    with a * b read off the product table and each image taken as its
+    permutation of the 14 signed points (``SignedPerm.points``)."""
     pair_product = quaternion_index().pair_product
-    return all(images[pair_product(a, b)] == ga * gb
-               for a, ga in images.items() for b, gb in images.items())
+    points = {a: g.points() for a, g in images.items()}
+    then = {a: itemgetter(*pa) for a, pa in points.items()}
+    return all(points[pair_product(a, b)] == then[a](pb)
+               for a in points for b, pb in points.items())

@@ -100,6 +100,13 @@ class SignedPerm:
         """Image of 0-based point i as (point, sign)."""
         return self.image[i], self.signs[i]
 
+    def points(self) -> tuple[int, ...]:
+        """The permutation of the 2n signed points, 2i = +e_i and 2i + 1 = -e_i,
+        that self induces: ``(g * h).points()`` is
+        ``operator.itemgetter(*g.points())(h.points())``."""
+        return tuple(2 * j + (t ^ (s < 0)) for j, s in zip(self.image, self.signs)
+                     for t in (0, 1))
+
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Canonical encoding used for ordering and deduplication."""
         return (self.image, self.signs)

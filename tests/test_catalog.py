@@ -128,6 +128,16 @@ def test_whole_roster_alignments_merge_components():
         assert catalog.alignment(n) is catalog.choose_alignments(None, catalog.COMPONENT_OF[n])[n]
 
 
+def test_empty_golden_dir_shares_packaged_alignments():
+    catalog.choose_alignments(None)
+    cached = (catalog._alignment_candidates, catalog._golden_table)
+    misses = [fn.cache_info().misses for fn in cached]
+    component = catalog.COMPONENT_OF["7:3"]
+    chosen = catalog.choose_alignments("", component)
+    assert chosen is catalog.choose_alignments(None, component)
+    assert [fn.cache_info().misses for fn in cached] == misses
+
+
 _QUERY_BUILDS = (
     "import contextlib, io, json, sys\n"
     "from octogroup import catalog, cli, quatpairs\n"

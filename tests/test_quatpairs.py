@@ -9,8 +9,10 @@ from octogroup.quatpairs import (
     COSET_TABLE,
     PAIRED_COSET,
     Quaternion,
+    QuaternionIndex,
     QuaternionPair,
     binary_octahedral,
+    doubled,
     is_homomorphism,
     pair_group,
     pair_images,
@@ -190,6 +192,24 @@ def test_index_table_matches_exact_products():
             assert elements[index.mul[i][j]] == a * b
 
 
+def test_doubled_coordinates():
+    for q in quaternion_index().elements:
+        assert [QuadSqrt2.of(a, b) for a, b in doubled(q)] == [QuadSqrt2.of(2) * c
+                                                               for c in q.coeffs]
+    with pytest.raises(ValueError):
+        doubled(Quaternion((QuadSqrt2.of(Fraction(1, 3)), zero, zero, zero)))
+    with pytest.raises(ValueError):
+        doubled(Quaternion((zero, zero, QuadSqrt2.of(1, Fraction(1, 4)), zero)))
+
+
+def test_product_outside_the_table_raises():
+    index = QuaternionIndex()
+    index.elements = index.elements[1:]  # drop 1, which e1 * -e1 gives
+    assert Quaternion.unit(0) not in index.elements
+    with pytest.raises(KeyError):
+        index.mul
+
+
 def test_index_pair_product_matches_pair_product():
     index = quaternion_index()
     rng = random.Random(7)
@@ -208,6 +228,13 @@ def test_homomorphism_check_detects_one_flipped_sign():
     key = sorted(images)[100]
     g = images[key]
     images[key] = SignedPerm(g.image, (-g.signs[0],) + g.signs[1:])
+    assert not is_homomorphism(images)
+
+
+def test_homomorphism_check_detects_two_swapped_images():
+    images = dict(pair_images())
+    a, b = sorted(images)[100:102]
+    images[a], images[b] = images[b], images[a]
     assert not is_homomorphism(images)
 
 

@@ -1,4 +1,5 @@
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -153,6 +154,11 @@ def test_conjugate_orientation():
     assert conjugate(n[2], a) == n[4]
 
 
+def is_even(perm) -> bool:
+    """Parity of a permutation of 0..n-1 by counting inversions."""
+    return sum(1 for a in range(len(perm)) for b in range(a) if perm[b] > perm[a]) % 2 == 0
+
+
 def test_doubled_parity():
     assert SignedPerm.identity(7).doubled_is_even()
     n1 = catalog.generator("N1")
@@ -166,8 +172,22 @@ def test_doubled_parity():
         for i, (j, s) in enumerate(zip(g.image, g.signs)):
             image[2 * i] = 2 * j + (s < 0)
             image[2 * i + 1] = 2 * j + (s > 0)
-        inversions = sum(1 for a in range(14) for b in range(a + 1, 14) if image[a] > image[b])
-        assert g.doubled_is_even() == (inversions % 2 == 0)
+        assert g.doubled_is_even() == is_even(image)
+        assert g.points() == tuple(image)
+
+
+@pytest.mark.parametrize("n", [7, 2])
+def test_points_compose_like_signed_perms(n):
+    rng = random.Random(n)
+    for _ in range(100):
+        g, h = rand_perm(rng, n), rand_perm(rng, n)
+        points = g.points()
+        assert sorted(points) == list(range(2 * n))
+        assert (g * h).points() == itemgetter(*points)(h.points())
+        inverse = g.inverse().points()
+        assert all(inverse[points[x]] == x for x in range(2 * n))
+        assert all(points[x ^ 1] == points[x] ^ 1 for x in range(2 * n))
+        assert is_even(points) == g.doubled_is_even()
 
 
 def test_degree_mismatch():
