@@ -8,7 +8,11 @@ GF(p)^r, each class matrix in turn splits every subspace, kept as a reduced
 echelon basis, into its eigenspaces until all are lines; those eigenvectors
 are lifted back to exact cyclotomic character values through discrete
 logarithms against a fixed primitive root.  Every table is checked against
-both orthogonality relations before it is returned.
+both orthogonality relations before it is returned, exactly and without the
+residues below: character values are algebraic integers, so each value is an
+integer vector over the powers of zeta_e (e the group exponent), each
+relation's sum is an integer polynomial mod x^e - 1, and its remainder mod
+Phi_e must be the expected constant.
 
 A table keeps each row's values mod p (``CharacterTable.residues``), the
 image of the exact row under one ring map Z[zeta_e] -> GF(p).  Tensor-product
@@ -28,7 +32,7 @@ from math import isqrt
 from operator import mul
 
 from .groups import Group
-from .scalars import Cyclotomic, prime_factors
+from .scalars import Cyclotomic, _divmod_monic, cyclotomic_polynomial, prime_factors
 
 Matrix = list[list[int]]
 
@@ -285,6 +289,9 @@ def _reduce_mod_p(value: Cyclotomic, theta: int, m: int, p: int) -> int:
 
 
 def _check_table(table: CharacterTable) -> None:
+    """Raise SplitFailure unless the degrees, identity values and conductors
+    fit the group and both orthogonality relations hold exactly, as integer
+    polynomials read at zeta_e (see the module docstring)."""
     group = table.group
     classes = group.classes
     r = len(classes)
@@ -301,18 +308,52 @@ def _check_table(table: CharacterTable) -> None:
         for k, v in enumerate(row.values):
             if classes[k].element_order % v.conductor != 0:
                 raise SplitFailure("value conductor does not divide the element order")
-    for i, chi in enumerate(rows):
-        for j, psi in enumerate(rows):
-            if inner_product(chi, psi, group) != (1 if i == j else 0):
+    e = group.exponent
+    phi = cyclotomic_polynomial(e)
+    vectors = [[_exponent_vector(v, e) for v in row.values] for row in rows]
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            total = [0] * e
+            for cls, x, y in zip(classes, a, b):
+                _add_conjugate_product(total, x, y, cls.size)
+            if not _is_constant_mod_phi(total, phi, group.order if i == j else 0):
                 raise SplitFailure("row orthogonality failed")
     for k in range(r):
         for l in range(r):
-            total = Cyclotomic.zero()
-            for row in rows:
-                total = total + row.values[k] * row.values[l].conjugate()
-            expect = Fraction(group.order, classes[k].size) if k == l else Fraction(0)
-            if not total.is_rational() or total.rational_value() != expect:
+            total = [0] * e
+            for vec in vectors:
+                _add_conjugate_product(total, vec[k], vec[l], 1)
+            expect = Fraction(group.order, classes[k].size) if k == l else 0
+            if not _is_constant_mod_phi(total, phi, expect):
                 raise SplitFailure("column orthogonality failed")
+
+
+def _exponent_vector(value: Cyclotomic, e: int) -> tuple[tuple[int, int], ...]:
+    """value as integer coefficients at exponents of zeta_e (its conductor
+    divides e).  Canonical coefficients are integers exactly when the value is
+    an algebraic integer, as a character value is; others raise SplitFailure."""
+    step = e // value.conductor
+    if any(c.denominator != 1 for _, c in value.coeffs):
+        raise SplitFailure("value is not an algebraic integer")
+    return tuple((x * step, c.numerator) for x, c in value.coeffs)
+
+
+def _add_conjugate_product(total: list[int], a: tuple[tuple[int, int], ...],
+                           b: tuple[tuple[int, int], ...], weight: int) -> None:
+    """total += weight * a * conj(b) in Z[x]/(x^e - 1), e = len(total):
+    zeta^x * conj(zeta^y) = zeta^(x - y)."""
+    e = len(total)
+    for x, c in a:
+        for y, d in b:
+            total[(x - y) % e] += weight * c * d
+
+
+def _is_constant_mod_phi(total: list[int], phi: tuple[int, ...],
+                         constant: int | Fraction) -> bool:
+    """Whether total, read at zeta_e, equals constant: its remainder mod
+    Phi_e is the canonical form, so it must be constant alone."""
+    rem = _divmod_monic(total, phi)[1]
+    return rem[0] == constant and not any(rem[1:])
 
 
 # -- characters and representation arithmetic --------------------------------

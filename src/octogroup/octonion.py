@@ -29,7 +29,8 @@ def _build_unit_table() -> dict[tuple[int, int], tuple[int, int]]:
                     raise AssertionError("inconsistent Fano seed triples")
                 table[key] = val
     # Fano property: every unordered pair lies on exactly one line
-    assert len(table) == 42
+    if len(table) != 42:
+        raise AssertionError("Fano seed triples miss an unordered pair")
     return table
 
 

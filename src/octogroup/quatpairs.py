@@ -97,8 +97,8 @@ def binary_octahedral() -> dict[Quaternion, str]:
     elements: dict[Quaternion, str] = {}
 
     def put(q: Quaternion, label: str) -> None:
-        assert q not in elements
-        assert q.norm() == QUAD_ONE
+        if q in elements or q.norm() != QUAD_ONE:
+            raise AssertionError("repeated or non-unit binary octahedral element")
         elements[q] = label
 
     for i in range(4):
@@ -123,7 +123,8 @@ def binary_octahedral() -> dict[Quaternion, str]:
             coeffs[j] = QuadSqrt2.of(0, sj * half)
             coeffs[k] = QuadSqrt2.of(0, sk * half)
             put(Quaternion(tuple(coeffs)), label)
-    assert len(elements) == 48
+    if len(elements) != 48:
+        raise AssertionError("binary octahedral group does not have 48 elements")
     return elements
 
 
@@ -241,7 +242,8 @@ def pair_group() -> tuple[IndexPair, ...]:
 
 # octonion indices of e7 * (1, e1, e2, e3) = (e7, e4, e5, e6), all with sign +1
 _FOUR_BLOCK = tuple(unit_product(7, i)[0] for i in range(4))
-assert all(unit_product(7, i)[1] == 1 for i in range(4))
+if any(unit_product(7, i)[1] != 1 for i in range(4)):
+    raise AssertionError("e7 * (1, e1, e2, e3) has a negative sign")
 
 
 def pair_to_signedperm7(pair: IndexPair) -> SignedPerm:

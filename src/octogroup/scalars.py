@@ -94,7 +94,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     num = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
         num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
-        assert not any(rem), "non-exact polynomial division"
+        if any(rem):
+            raise AssertionError("non-exact polynomial division")
     return tuple(num)
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from octogroup.chartab import (
     CharacterRow,
     CharacterTable,
+    SplitFailure,
+    _check_table,
     branch,
     character_table,
     class_algebra,
@@ -16,7 +19,7 @@ from octogroup.chartab import (
     primitive_root,
     tensor_decompose,
 )
-from octogroup.groups import close
+from octogroup.groups import Group, close
 from octogroup.scalars import Cyclotomic
 from octogroup.signedperm import SignedPerm
 from octogroup import catalog
@@ -68,11 +71,93 @@ def test_degrees():
 
 
 def test_orthogonality_externally():
-    table = catalog.table("2^3.S4")
-    group = table.group
-    for i, chi in enumerate(table.rows):
-        for j, psi in enumerate(table.rows):
-            assert inner_product(chi, psi, group) == (1 if i == j else 0)
+    """Both relations as exact cyclotomic sums, an independent reference for
+    the integer check in _check_table, on the rational 2^3.S4 and on every
+    table with non-real rows."""
+    for name in ("2^3.S4", "7:3", "2^3:7:3", "2^3.PSL2(7)", "PSL2(7)"):
+        table = catalog.table(name)
+        classes = table.group.classes
+        order = table.group.order
+        for i, chi in enumerate(table.rows):
+            for j, psi in enumerate(table.rows):
+                total = Cyclotomic.zero()
+                for cls, x, y in zip(classes, chi.values, psi.values):
+                    total = total + (x * y.conjugate()).scale(cls.size)
+                assert total == Cyclotomic.from_rational(order if i == j else 0), name
+        for k, ck in enumerate(classes):
+            for l in range(len(classes)):
+                total = Cyclotomic.zero()
+                for row in table.rows:
+                    total = total + row.values[k] * row.values[l].conjugate()
+                expect = Fraction(order, ck.size) if k == l else 0
+                assert total == Cyclotomic.from_rational(expect), name
+
+
+def _edited(table, i, changes):
+    """The table with rows[i].values[k] replaced by v for each k: v in changes."""
+    rows = list(table.rows)
+    values = list(rows[i].values)
+    for k, v in changes.items():
+        values[k] = v
+    rows[i] = CharacterRow(rows[i].degree, tuple(values))
+    return CharacterTable(table.group, tuple(rows), table.prime, table.residues)
+
+
+def _resized(table, k, size):
+    """The table over a copy of its group whose class k has the given size."""
+    g = table.group
+    group = Group(list(g.elements), list(g.generators))
+    group.classes = tuple(replace(c, size=size) if m == k else c
+                          for m, c in enumerate(g.classes))
+    return CharacterTable(group, table.rows, table.prime, table.residues)
+
+
+def _swapped(table, i, k, l):
+    values = table.rows[i].values
+    return _edited(table, i, {k: values[l], l: values[k]})
+
+
+def _conjugated(table, i, k):
+    return _edited(table, i, {k: table.rows[i].values[k].conjugate()})
+
+
+def _halved(table, i, k):
+    """rows[i].values[k] with its first coefficient halved."""
+    v = table.rows[i].values[k]
+    (x, c), *rest = v.coeffs
+    return _edited(table, i, {k: Cyclotomic.make(v.conductor, {x: c / 2, **dict(rest)})})
+
+
+@pytest.mark.parametrize("name, corrupt, args, message", [
+    # degree-6 row (6, 2, 0, 0, -1, -1): the values at 2A (21) and 4A (42)
+    ("PSL2(7)", _swapped, (3, 1, 3), "orthogonality"),
+    # a degree-3 row's b7 at 7A: the row norm stays 1, and only its products
+    # with the other rows and the columns change
+    ("7:3", _conjugated, (3, 3), "orthogonality"),
+    ("7:3", _resized, (3, 4), "orthogonality"),
+    ("7:3", _halved, (3, 4), "algebraic integer"),
+], ids=["swapped", "conjugated", "resized", "halved"])
+def test_check_table_rejects_corrupted_tables(name, corrupt, args, message):
+    with pytest.raises(SplitFailure, match=message):
+        _check_table(corrupt(catalog.table(name), *args))
+
+
+def test_check_table_reads_every_coefficient_of_the_remainder():
+    """A table of C4 whose relation sums all have the right rational part:
+    rows 0 and 2 have inner product -2i/4, so only the zeta_4 coefficient of
+    the remainder mod Phi_4 shows that the table is wrong."""
+    group = close([SignedPerm((1, 2, 3, 0), (1, 1, 1, 1))])
+    assert [c.element_order for c in group.classes] == [1, 2, 4, 4]
+    one, minus = Cyclotomic.from_rational(1), Cyclotomic.from_rational(-1)
+    i = Cyclotomic.root(1, 4)
+    minus_i = i.scale(-1)
+    rows = [(one, one, one, i), (one, one, minus, minus_i),
+            (one, minus, i, minus), (one, minus, minus_i, one)]
+    table = character_table(group)
+    bad = CharacterTable(group, tuple(CharacterRow(1, row) for row in rows),
+                         table.prime, table.residues)
+    with pytest.raises(SplitFailure, match="row orthogonality"):
+        _check_table(bad)
 
 
 def test_natural_characters():
