@@ -139,25 +139,18 @@ ROSTER: dict[str, RosterEntry] = {e.name: e for e in (
                 "chartab_2_3_s4.txt", "tensors_2_3_s4.txt"),
 )}
 
-# (parent, child-name) -> branch reference file
-BRANCH_PAIRS: dict[tuple[str, str], str] = {
-    ("2^3.PSL2(7)", "2^3:7:3"): "branch_1344_to_2_3_7_3.txt",
-    ("2^3:PSL2(7)", "2^3:7:3"): "branch_1344_to_2_3_7_3.txt",
-    ("2^3:PSL2(7)", "PSL2(7)"): "branch_split_1344_to_psl2_7.txt",
-    ("2^3:7:3", "7:3"): "branch_2_3_7_3_to_7_3.txt",
-    ("2^3:7:3-split", "7:3"): "branch_2_3_7_3_to_7_3.txt",
-    ("PSL2(7)", "7:3"): "branch_psl2_7_to_7_3.txt",
-}
-
-# concrete roster entry realizing the child of each branch pair
-BRANCH_CHILD_ROSTER = {
-    ("2^3.PSL2(7)", "2^3:7:3"): "2^3:7:3",
-    ("2^3:PSL2(7)", "2^3:7:3"): "2^3:7:3-split",
-    ("2^3:PSL2(7)", "PSL2(7)"): "PSL2(7)",
-    ("2^3:7:3", "7:3"): "7:3",
-    ("2^3:7:3-split", "7:3"): "7:3-split",
-    ("PSL2(7)", "7:3"): "7:3-split",
-}
+# (parent, child label, roster group realizing the child, branch reference file)
+_BRANCHES = (
+    ("2^3.PSL2(7)", "2^3:7:3", "2^3:7:3", "branch_1344_to_2_3_7_3.txt"),
+    ("2^3:PSL2(7)", "2^3:7:3", "2^3:7:3-split", "branch_1344_to_2_3_7_3.txt"),
+    ("2^3:PSL2(7)", "PSL2(7)", "PSL2(7)", "branch_split_1344_to_psl2_7.txt"),
+    ("2^3:7:3", "7:3", "7:3", "branch_2_3_7_3_to_7_3.txt"),
+    ("2^3:7:3-split", "7:3", "7:3-split", "branch_2_3_7_3_to_7_3.txt"),
+    ("PSL2(7)", "7:3", "7:3-split", "branch_psl2_7_to_7_3.txt"),
+)
+BRANCH_PAIRS: dict[tuple[str, str], str] = {(p, c): f for p, c, _, f in _BRANCHES}
+BRANCH_CHILD_ROSTER: dict[tuple[str, str], str] = {(p, c): r for p, c, r, _ in _BRANCHES}
+_BRANCH_EDGES = tuple((parent, child_roster) for parent, _, child_roster, _ in _BRANCHES)
 
 
 class BuildError(RuntimeError):
@@ -218,6 +211,14 @@ def _labels(name: str, golden_dir: str | None) -> list[str]:
     return _golden_table(ROSTER[name].golden_file, golden_dir).labels
 
 
+def _branch_lines(parent: str, child_roster: str, branch_file: str,
+                  golden_dir: str | None) -> list[gold.BranchLine]:
+    """The reference branching lines of parent -> child_roster, read on every
+    call: a file in golden_dir may be rewritten between calls."""
+    return gold.load_branch_lines(_reference_path(branch_file, golden_dir),
+                                  _labels(parent, golden_dir), _labels(child_roster, golden_dir))
+
+
 @lru_cache(maxsize=None)
 def _alignment_candidates(name: str, golden_dir: str | None) -> tuple[gold.Alignment, ...]:
     golden = _golden_table(ROSTER[name].golden_file, golden_dir)
@@ -234,8 +235,6 @@ def _swap_ends(name: str, edge: tuple[str, str]) -> str:
     a, b = edge
     return b if name == a else a if name == b else name
 
-
-_BRANCH_EDGES = tuple((parent, child) for (parent, _), child in BRANCH_CHILD_ROSTER.items())
 
 # The connected components of the branching graph on roster names, each in
 # roster order, ordered by their first member.  Alignments in different
@@ -269,13 +268,10 @@ def choose_alignments(golden_dir: str | None = None,
             raise BuildError(f"no reference alignment found for {n}")
 
     constraints = []
-    for (parent, child), branch_file in BRANCH_PAIRS.items():
+    for parent, _, child_roster, branch_file in _BRANCHES:
         if parent not in component:
             continue
-        child_roster = BRANCH_CHILD_ROSTER[(parent, child)]
-        lines = gold.load_branch_lines(_reference_path(branch_file, golden_dir),
-                                       _labels(parent, golden_dir),
-                                       _labels(child_roster, golden_dir))
+        lines = _branch_lines(parent, child_roster, branch_file, golden_dir)
         constraints.append((parent, child_roster, branch_matrix(parent, child_roster), lines))
 
     for combo in product(*candidates):
@@ -740,12 +736,9 @@ def _claims(golden_dir: str | None):
                "all lines match (flagged or relabeled lines reported)", _tensors)
 
     # branchings (acceptance 9)
-    for (parent, child), branch_file in BRANCH_PAIRS.items():
-        child_roster = BRANCH_CHILD_ROSTER[(parent, child)]
+    for parent, child, child_roster, branch_file in _BRANCHES:
         def _branch(parent=parent, child_roster=child_roster, branch_file=branch_file):
-            lines = gold.load_branch_lines(_reference_path(branch_file, golden_dir),
-                                           _labels(parent, golden_dir),
-                                           _labels(child_roster, golden_dir))
+            lines = _branch_lines(parent, child_roster, branch_file, golden_dir)
             checks = gold.check_branch_lines(al(parent), al(child_roster),
                                              branch_matrix(parent, child_roster), lines)
             bad = [c for c in checks if not c.matches]

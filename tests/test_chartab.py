@@ -71,10 +71,10 @@ def test_degrees():
 
 
 def test_orthogonality_externally():
-    """Both relations as exact cyclotomic sums, an independent reference for
-    the integer check in _check_table, on the rational 2^3.S4 and on every
-    table with non-real rows."""
-    for name in ("2^3.S4", "7:3", "2^3:7:3", "2^3.PSL2(7)", "PSL2(7)"):
+    """Both relations as exact cyclotomic sums on every roster table: an
+    independent reference for the integer row check in _check_table, and the
+    only place the column relation, which follows from it, is evaluated."""
+    for name in catalog.ROSTER:
         table = catalog.table(name)
         classes = table.group.classes
         order = table.group.order
@@ -112,6 +112,13 @@ def _resized(table, k, size):
     return CharacterTable(group, table.rows, table.prime, table.residues)
 
 
+def _redegreed(table, i, degree):
+    """The table with rows[i]'s degree and identity value both set to degree."""
+    rows = list(table.rows)
+    rows[i] = CharacterRow(degree, (Cyclotomic.from_rational(degree),) + rows[i].values[1:])
+    return CharacterTable(table.group, tuple(rows), table.prime, table.residues)
+
+
 def _swapped(table, i, k, l):
     values = table.rows[i].values
     return _edited(table, i, {k: values[l], l: values[k]})
@@ -136,7 +143,10 @@ def _halved(table, i, k):
     ("7:3", _conjugated, (3, 3), "orthogonality"),
     ("7:3", _resized, (3, 4), "orthogonality"),
     ("7:3", _halved, (3, 4), "algebraic integer"),
-], ids=["swapped", "conjugated", "resized", "halved"])
+    # the trivial row as (2, 1, ..., 1): the squared degrees sum to 1347,
+    # and so does the row's own norm sum, which the row relation rejects
+    ("2^3.PSL2(7)", _redegreed, (0, 2), "orthogonality"),
+], ids=["swapped", "conjugated", "resized", "halved", "doubled"])
 def test_check_table_rejects_corrupted_tables(name, corrupt, args, message):
     with pytest.raises(SplitFailure, match=message):
         _check_table(corrupt(catalog.table(name), *args))
