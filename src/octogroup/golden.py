@@ -8,9 +8,10 @@ verification report and the line checks below.
 File conventions
 ----------------
 
-Files are UTF-8.  Character-table files: ``group``, ``order``, ``sizes`` and
-one ``orders`` line per group name, then one ``irrep <label> <cells...>``
-line per row, each label on one row only, and as many rows as classes.
+Files are UTF-8.  Character-table files: one ``group``, ``order`` and
+``sizes`` line and one ``orders`` line per group name, none repeated, then
+one ``irrep <label> <cells...>`` line per row, each label on one row only,
+and as many rows as classes.
 The order, class sizes and element orders are positive integers written
 in plain ASCII digits.  A cell may carry a known-misprint annotation
 ``printed!corrected``: the corrected value participates in all comparisons
@@ -130,9 +131,15 @@ def _split_flag(cell: str) -> tuple[str, str | None]:
 def load_golden_table(path: Path | str) -> GoldenTable:
     path = Path(path)
     t = GoldenTable(str(path), [], 0, [], {}, [], [], [])
+    headers: set[str] = set()
 
     def parse(line: str) -> None:
         kind, *fields = line.split()
+        if kind != "irrep":
+            header = f"orders {fields[0]}" if kind == "orders" else kind
+            if header in headers:
+                raise ValueError(f"repeated {header!r} line")
+            headers.add(header)
         if kind == "group":
             t.names = fields
         elif kind == "order":

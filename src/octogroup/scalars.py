@@ -10,15 +10,21 @@ elements coincides with equality of the stored representation:
   cyclotomic polynomial.
 
 ``Cyclotomic.make`` finds that form for a sum of powers of zeta_n.  It
-reduces the sum modulo Phi_n, then tries the proper divisors d of n in
-ascending order: the first d for which the reduced vector solves as a
-rational combination of 1, zeta_d, ..., zeta_d^(phi(d)-1) (with
-zeta_d = zeta_n^(n/d)) is the conductor, and the solution gives the
-coefficients.  The solve is consistent exactly when the value lies in
-Q(zeta_d), and Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the
-first such d is the minimal conductor.  If no proper divisor solves, the
-conductor is n.  ``Cyclotomic.root`` writes a single root of unity in that
-form directly, from its order.
+reduces the sum modulo Phi_n once, as a sparse vector, then descends one
+prime at a time: for a prime p dividing n, with m = n / p, it tests whether
+the value lies in Q(zeta_m) and, if so, rewrites it there.
+
+* If p divides m, Phi_n(x) = Phi_m(x^p), and if m = 1 only the constant is
+  rational: the value lies in Q(zeta_m) exactly when every reduced exponent
+  is a multiple of p, and dividing them by p gives its reduced form at m.
+* Otherwise zeta_n^e = zeta_p^x * zeta_m^y by the Chinese remainder theorem,
+  and the normalized relative trace onto Q(zeta_m) maps it to zeta_m^y with
+  weight 1 if x = 0 and -1/(p - 1) otherwise.  The trace fixes exactly
+  Q(zeta_m), so the value lies there when the trace, written back at n and
+  reduced, equals it (Washington, Introduction to Cyclotomic Fields, ch. 2).
+
+Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the descent stops at
+the least conductor whichever prime it takes first.
 
 Rational numbers are plain ``fractions.Fraction`` everywhere.
 """
@@ -62,14 +68,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result = n
-    for p in prime_factors(n):
-        result -= result // p
-    return result
-
-
 def _divmod_monic(num: list, den: tuple[int, ...]) -> tuple[list, list]:
     """Quotient and remainder of num by the monic integer polynomial den
     (coefficients ascending)."""
@@ -99,52 +97,50 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_phi(n: int, dense: list[Fraction]) -> list[Fraction]:
-    """Reduce a coefficient vector over 1..zeta_n^(len-1) to degree < phi(n)."""
-    return _divmod_monic(dense, cyclotomic_polynomial(n))[1]
+def _reduce(n: int, parts: dict[int, Fraction]) -> dict[int, Fraction]:
+    """sum(parts[e] * zeta_n^e) reduced mod Phi_n: its nonzero coefficients
+    in the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1), ascending."""
+    dense = [Fraction(0)] * n
+    for e, c in parts.items():
+        dense[e % n] += c
+    rem = _divmod_monic(dense, cyclotomic_polynomial(n))[1]
+    return {e: c for e, c in enumerate(rem) if c}
 
 
 @lru_cache(maxsize=None)
-def _subfield_basis(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Columns: zeta_d^j (j < phi(d)) written in the power basis of zeta_n."""
-    cols = []
-    step = n // d
-    for j in range(euler_phi(d)):
-        dense = [Fraction(0)] * n
-        dense[(step * j) % n] = Fraction(1)
-        cols.append(tuple(_reduce_mod_phi(n, dense)))
-    return tuple(cols)
+def _descents(n: int) -> tuple[tuple[int, int, int | None], ...]:
+    """(p, m, p^-1 mod m) for each prime p dividing n, m = n / p; the inverse
+    is None where p divides m or m is 1, as the support test needs none."""
+    return tuple((p, n // p, None if n % (p * p) == 0 or n == p else pow(p, -1, n // p))
+                 for p in prime_factors(n))
 
 
-def _solve_in_subfield(n: int, d: int, vec: list[Fraction]) -> list[Fraction] | None:
-    """Solve vec = sum c_j * zeta_d^j in the zeta_n power basis, or None."""
-    cols = _subfield_basis(n, d)
-    rows = euler_phi(n)
-    k = len(cols)
-    aug = [[cols[j][i] for j in range(k)] + [vec[i]] for i in range(rows)]
-    piv = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(piv):
-        sol[c] = aug[i][k]
-    # consistency: rows beyond the pivots must have zero RHS
-    for i in range(r, rows):
-        if aug[i][k] != 0:
+def _descend(n: int, v: dict[int, Fraction], p: int, m: int,
+             p_inv: int | None) -> dict[int, Fraction] | None:
+    """The reduced form at conductor m = n / p of the reduced form v at n, or
+    None if the value does not lie in Q(zeta_m)."""
+    if p_inv is None:
+        if any(e % p for e in v):
             return None
-    return sol
+        return {e // p: c for e, c in v.items()}
+    # zeta_n^e = zeta_p^x * zeta_m^y with x = 0 iff p | e, and y = e / p mod m
+    w = Fraction(-1, p - 1)
+    trace: dict[int, Fraction] = {}
+    for e, c in v.items():
+        y = e * p_inv % m
+        trace[y] = trace.get(y, 0) + (c if e % p == 0 else w * c)
+    t = _reduce(m, trace)
+    return t if _reduce(n, {y * p: c for y, c in t.items()}) == v else None
+
+
+def _least_conductor(n: int, v: dict[int, Fraction]) -> tuple[int, tuple]:
+    """The least conductor of the nonzero reduced form v at n, and the
+    coefficients there: descend by any prime that keeps the value."""
+    for p, m, p_inv in _descents(n):
+        w = _descend(n, v, p, m, p_inv)
+        if w is not None:
+            return _least_conductor(m, w)
+    return n, tuple(v.items())
 
 
 _NUMERAL = re.compile(r"[0-9]+(/[0-9]+)?")
@@ -230,40 +226,15 @@ class Cyclotomic:
         """Canonical form of sum(parts[k] * zeta_n^k)."""
         if n < 1:
             raise ValueError("conductor must be positive")
-        dense = [Fraction(0)] * n
-        for e, c in parts.items():
-            dense[e % n] += Fraction(c)
-        reduced = _reduce_mod_phi(n, dense)
-        if not any(reduced):
+        v = _reduce(n, parts)
+        if not v:
             return Cyclotomic(1, ())
-        for d in divisors(n)[:-1]:
-            sol = _solve_in_subfield(n, d, reduced)
-            if sol is not None:
-                return Cyclotomic(d, tuple((e, c) for e, c in enumerate(sol) if c))
-        return Cyclotomic(n, tuple((e, c) for e, c in enumerate(reduced) if c))
+        return Cyclotomic(*_least_conductor(n, v))
 
     @staticmethod
     def root(k: int, n: int) -> "Cyclotomic":
-        """zeta_n^k in canonical form, without a subfield solve.
-
-        zeta_n^k is a primitive d-th root of unity, d = n / gcd(n, k).  For
-        d = 2m with m odd it is -zeta_m^((k' + m) / 2), k' = k / gcd(n, k),
-        because zeta_d^m = -1; otherwise it generates Q(zeta_d), so d is the
-        minimal conductor.  Either way one reduction mod Phi gives the
-        canonical coefficients.
-        """
-        if n < 1:
-            raise ValueError("conductor must be positive")
-        g = gcd(n, k)
-        d, e, sign = n // g, k // g, Fraction(1)
-        if d % 4 == 2:
-            d //= 2
-            e, sign = (e + d) // 2, -sign
-        if d == 1:
-            return Cyclotomic.from_rational(sign)
-        dense = [Fraction(0)] * d
-        dense[e % d] = sign
-        return Cyclotomic(d, tuple((i, c) for i, c in enumerate(_reduce_mod_phi(d, dense)) if c))
+        """zeta_n^k in canonical form."""
+        return Cyclotomic.make(n, {k: 1})
 
     @staticmethod
     def from_rational(q: Fraction | int) -> "Cyclotomic":

@@ -104,28 +104,44 @@ def test_corrupt_file_errors(tmp_path):
     empty.write_text("# nothing but a comment\n")
     with pytest.raises(gold.GoldenFileError, match="empty.txt: no table lines"):
         gold.load_golden_table(empty)
+    # each header line appears once: a second one would silently replace the
+    # first, and cells read before it would be checked against another order
+    reference = (gold.DATA_DIR / "chartab_7_3.txt").read_text()
+    for header, repeat in (("order", "order 42\norder 21\n"),
+                           ("group", "group 7:3\norder 21\n"),
+                           ("sizes", "sizes 1 7 7 3 3\norder 21\n"),
+                           ("orders 7:3", "orders 7:3 1 3 3 7 7\norder 21\n")):
+        repeated = tmp_path / "repeated.txt"
+        repeated.write_text(reference.replace("order 21\n", repeat))
+        with pytest.raises(gold.GoldenFileError, match=f"repeated.txt.*repeated '{header}'"):
+            gold.load_golden_table(repeated)
+    repeated.write_text(reference + "order 21\n")
+    with pytest.raises(gold.GoldenFileError, match="repeated.txt.*repeated 'order'"):
+        gold.load_golden_table(repeated)
 
 
 def test_largest_conductor_cells_load_quickly(tmp_path):
-    """A chartab_1344.txt copy whose 121 value cells are all z1344 is bounded
-    work: it loads, or fails as GoldenFileError, within 2 seconds."""
-    lines = []
-    for line in (gold.DATA_DIR / "chartab_1344.txt").read_text().splitlines():
-        if line.startswith("irrep"):
-            _, label, *cells = line.split()
-            line = " ".join(["irrep", label] + ["z1344"] * len(cells))
-        lines.append(line)
-    assert sum(line.count("z1344") for line in lines) == 121
-    path = tmp_path / "chartab_1344.txt"
-    path.write_text("\n".join(lines) + "\n")
-    start = time.perf_counter()
-    try:
-        table = gold.load_golden_table(path)
-    except gold.GoldenFileError:
-        pass
-    else:
-        assert {str(v) for row in table.values for v in row} == {"z1344"}
-    assert time.perf_counter() - start < 2.0
+    """A chartab_1344.txt copy whose 121 value cells are all one root, or all
+    one sum, of conductor 1344 is bounded work: it loads, or fails as
+    GoldenFileError, within 2 seconds."""
+    for cell, rendered in (("z1344", "z1344"), ("1+z1344", "1 + z1344")):
+        lines = []
+        for line in (gold.DATA_DIR / "chartab_1344.txt").read_text().splitlines():
+            if line.startswith("irrep"):
+                _, label, *cells = line.split()
+                line = " ".join(["irrep", label] + [cell] * len(cells))
+            lines.append(line)
+        assert sum(line.split().count(cell) for line in lines) == 121
+        path = tmp_path / "chartab_1344.txt"
+        path.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        try:
+            table = gold.load_golden_table(path)
+        except gold.GoldenFileError:
+            pass
+        else:
+            assert {str(v) for row in table.values for v in row} == {rendered}
+        assert time.perf_counter() - start < 2.0, cell
 
 
 def reference_labels(*names):

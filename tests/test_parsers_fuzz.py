@@ -24,7 +24,7 @@ FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 # ASCII grammar characters, and look-alikes that int() accepts
 NOISE = "0123456789z^e*/+-_ ().,x=>!\u0663\uff15"
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-conductors = st.sampled_from((1, 2, 3, 4, 5, 7, 8, 9, 12, 21, 24, 28, 42))
+conductors = st.sampled_from((1, 2, 3, 4, 5, 7, 8, 9, 12, 21, 24, 28, 42, 45, 1344))
 
 
 @st.composite

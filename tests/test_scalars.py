@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from octogroup.scalars import (MAX_PARSED_CONDUCTOR, Cyclotomic, QuadSqrt2,
-                               cyclotomic_polynomial)
+                               _divmod_monic, cyclotomic_polynomial)
 
 from octogroup import catalog
 
@@ -24,16 +24,35 @@ def test_root_identity_cases():
     assert Cyclotomic.root(1, 1) == Cyclotomic.from_rational(1)
 
 
+def closed_form_root(k: int, n: int) -> Cyclotomic:
+    """zeta_n^k in canonical form from its order alone, without a subfield
+    test: zeta_n^k is a primitive d-th root of unity, d = n / gcd(n, k).  For
+    d = 2m with m odd it is -zeta_m^((k' + m) / 2), k' = k / gcd(n, k),
+    because zeta_d^m = -1; otherwise it generates Q(zeta_d), so d is the
+    least conductor.  Either way one reduction mod Phi_d gives the
+    coefficients."""
+    g = gcd(n, k)
+    d, e, sign = n // g, k // g, Fraction(1)
+    if d % 4 == 2:
+        d //= 2
+        e, sign = (e + d) // 2, -sign
+    if d == 1:
+        return Cyclotomic.from_rational(sign)
+    rem = _divmod_monic([0] * (e % d) + [sign], cyclotomic_polynomial(d))[1]
+    return Cyclotomic(d, tuple((i, Fraction(c)) for i, c in enumerate(rem) if c))
+
+
 def test_root_equals_make():
-    """root builds zeta_n^k's canonical form directly; make finds it by
-    subfield solves."""
+    """make's prime-by-prime descent finds the canonical form of zeta_n^k
+    that the closed form reads off its order."""
     for n in range(1, 49):
         for k in range(-1, n):
+            assert Cyclotomic.make(n, {k: 1}) == closed_form_root(k, n), (n, k)
             assert Cyclotomic.root(k, n) == Cyclotomic.make(n, {k: 1}), (n, k)
     rng = random.Random(24)
-    for n in (56, 84, 168):
-        for k in rng.sample(range(n), 10):
-            assert Cyclotomic.root(k, n) == Cyclotomic.make(n, {k: 1}), (n, k)
+    for n in (56, 84, 168, 1344):
+        for k in rng.sample(range(n), 10) + [n // 2, n // 3, n // 6 - 1]:
+            assert Cyclotomic.make(n, {k: 1}) == closed_form_root(k, n), (n, k)
     with pytest.raises(ValueError):
         Cyclotomic.root(1, 0)
 
@@ -114,7 +133,7 @@ def galois_conductor(n: int, parts: dict[int, Fraction]) -> int:
 def test_conductor_matches_galois_criterion():
     rng = random.Random(17)
     seen = set()
-    for n in (12, 24, 42, 56, 168):
+    for n in (12, 24, 42, 45, 56, 60, 168):
         subfields = [d for d in range(1, n + 1) if n % d == 0]
         for _ in range(15):
             # a sum of elements of one or two subfields Q(zeta_d)
