@@ -5,13 +5,19 @@ reference: its ``terms`` and ``cells`` give multiplicities and values under
 reference labels, in reference row and column order, to the CLI, the
 verification report and the line checks below.
 
+Both matchings to reference labels come from one walk over permutations
+within blocks (``_block_assignments``): ``find_alignments`` permutes columns
+within (class size, element order) blocks and keeps those whose rows are the
+reference rows, and ``find_tensor_relabeling`` permutes rows within degree
+blocks and prunes on each tensor line as soon as its labels all have rows.
+
 File conventions
 ----------------
 
 Files are UTF-8.  Character-table files: one ``group``, ``order`` and
-``sizes`` line and one ``orders`` line per group name, none repeated, then
-one ``irrep <label> <cells...>`` line per row, each label on one row only,
-and as many rows as classes.
+``sizes`` line and one ``orders`` line per group name, none repeated, and
+one ``irrep <label> <cells...>`` line per row after the ``order`` line,
+each label on one row only, and as many rows as classes.
 The order, class sizes and element orders are positive integers written
 in plain ASCII digits.  A cell may carry a known-misprint annotation
 ``printed!corrected``: the corrected value participates in all comparisons
@@ -20,9 +26,9 @@ and the cell is reported as flagged.  Values are integers, rationals,
 eta_bar (optionally negated), which expand to z3, -1-z3, z7+z7^2+z7^4 and
 its conjugate.
 A character of a group of order N takes values in Q(z{N}), so every
-``z{n}`` in a cell must have n dividing the ``order`` given on an earlier
-line, and n is at most 1344, the largest order of a roster group, so a cell
-with a huge conductor fails at once instead of expanding.
+``z{n}`` in a cell must have n dividing the ``order``, and n is at most
+1344, the largest order of a roster group, so a cell with a huge conductor
+fails at once instead of expanding.
 
 Tensor files: lines ``<label> x <label> = <sum>``; a leading ``!`` flags a
 suspected misprint (compared and reported, never fatal).  Branch files:
@@ -36,8 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations, product
-from math import factorial, prod
+from itertools import permutations
 from pathlib import Path
 
 from .chartab import CharacterTable, tensor_decompose
@@ -153,6 +158,8 @@ def load_golden_table(path: Path | str) -> GoldenTable:
         elif kind == "orders":
             t.orders[fields[0]] = [_positive(x) for x in fields[1:]]
         elif kind == "irrep":
+            if "order" not in headers:
+                raise ValueError("irrep line before the 'order' line")
             label, *cells = fields
             if label in t.labels:
                 raise ValueError(f"duplicate irrep label {label!r}")
@@ -216,6 +223,29 @@ class Alignment:
                 for lab in self.golden.labels]
 
 
+def _block_assignments(blocks, fits):
+    """Each assignment of every block's targets to its sources, as a dict
+    from source to target, for blocks of (sources, targets) of equal length.
+
+    Assignments come in itertools.product order over the blocks'
+    permutations of their targets.  After block d is assigned, an assignment
+    that fits(d, assignment) rejects is not extended.
+    """
+    assignment: dict = {}
+
+    def walk(depth: int):
+        if depth == len(blocks):
+            yield dict(assignment)
+            return
+        sources, targets = blocks[depth]
+        for perm in permutations(targets):
+            assignment.update(zip(sources, perm))
+            if fits(depth, assignment):
+                yield from walk(depth + 1)
+
+    return walk(0)
+
+
 def find_alignments(table: CharacterTable, golden: GoldenTable,
                     group_name: str) -> list[Alignment]:
     """All column/row matchings making the computed table equal the reference.
@@ -230,21 +260,13 @@ def find_alignments(table: CharacterTable, golden: GoldenTable,
     classes = table.group.classes
     if len(classes) != golden.n_classes:
         return []
-    golden_orders = golden.orders[group_name]
-    golden_meta = [(golden.sizes[c], golden_orders[c]) for c in range(golden.n_classes)]
+    golden_meta = list(zip(golden.sizes, golden.orders[group_name]))
     computed_meta = [(c.size, c.element_order) for c in classes]
     if sorted(golden_meta) != sorted(computed_meta):
         return []
-
-    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    for col, meta in enumerate(golden_meta):
-        groups.setdefault(meta, ([], []))[0].append(col)
-    for idx, meta in enumerate(computed_meta):
-        groups[meta][1].append(idx)
-
-    total = prod(factorial(len(cols)) for cols, _ in groups.values())
-    if total > 20160:
-        raise GoldenFileError(f"too many candidate column matchings ({total})")
+    blocks = [([col for col, m in enumerate(golden_meta) if m == meta],
+               [idx for idx, m in enumerate(computed_meta) if m == meta])
+              for meta in sorted(set(golden_meta))]
 
     cell_str = [[str(v) for v in row.values] for row in table.rows]
     golden_rows = {}
@@ -254,26 +276,18 @@ def find_alignments(table: CharacterTable, golden: GoldenTable,
             raise GoldenFileError(f"{golden.path}: duplicate reference rows")
         golden_rows[key] = label
 
-    metas = sorted(groups)
-    choices = [list(permutations(groups[m][1])) for m in metas]
     alignments = []
-    for combo in product(*choices):
-        col_to_class = [0] * golden.n_classes
-        for meta, perm in zip(metas, combo):
-            for col, idx in zip(groups[meta][0], perm):
-                col_to_class[col] = idx
+    for assignment in _block_assignments(blocks, lambda depth, assignment: True):
+        col_to_class = tuple(assignment[col] for col in range(golden.n_classes))
         label_to_row: dict[str, int] = {}
-        ok = True
-        for i in range(len(table.rows)):
-            key = tuple(cell_str[i][col_to_class[c]] for c in range(golden.n_classes))
-            label = golden_rows.get(key)
+        for i, cells in enumerate(cell_str):
+            label = golden_rows.get(tuple(cells[idx] for idx in col_to_class))
             if label is None or label in label_to_row:
-                ok = False
                 break
             label_to_row[label] = i
-        if ok:
+        else:
             alignments.append(Alignment(
-                golden, group_name, table, tuple(col_to_class),
+                golden, group_name, table, col_to_class,
                 label_to_row, {i: lab for lab, i in label_to_row.items()},
             ))
     return alignments
@@ -386,17 +400,10 @@ def find_tensor_relabeling(alignment: Alignment,
     """
     table = alignment.table
     degrees = table.degrees()
-    by_degree: dict[int, list[int]] = {}
-    for i, d in enumerate(degrees):
-        by_degree.setdefault(d, []).append(i)
     label_degree = {lab: degrees[row] for lab, row in alignment.label_to_row.items()}
-    labels_by_degree: dict[int, list[str]] = {}
-    for lab in alignment.golden.labels:
-        labels_by_degree.setdefault(label_degree[lab], []).append(lab)
-
-    total = prod(factorial(len(rows)) for rows in by_degree.values())
-    if total > 10**5:
-        raise GoldenFileError(f"too many candidate relabelings ({total})")
+    blocks = [([lab for lab in alignment.golden.labels if label_degree[lab] == d],
+               [i for i, e in enumerate(degrees) if e == d])
+              for d in sorted(set(degrees))]
 
     # every candidate reads the same products of rows, so decompose each once;
     # products[i, j] lists the (row, multiplicity) terms of irrep_i (x) irrep_j
@@ -406,37 +413,26 @@ def find_tensor_relabeling(alignment: Alignment,
             products[i, j] = products[j, i] = [
                 (k, m) for k, m in enumerate(tensor_decompose(table, i, j)) if m]
 
-    # Candidates assign rows to the labels one degree at a time, in the order
-    # of itertools.product over the degrees' permutations.  A line is checked
-    # as soon as every label it names has a row, and a partial assignment that
-    # fails it is not extended, so the first full match is still the first in
-    # that order.
-    degs = sorted(by_degree)
-    depth_of = {lab: degs.index(d) for lab, d in label_degree.items()}
-    ready: list[list[ProductLine]] = [[] for _ in degs]
+    # Candidates assign rows to the labels one degree at a time.  A line is
+    # checked as soon as every label it names has a row, so the first full
+    # match is the first candidate in itertools.product order that matches.
+    depth_of = {lab: depth for depth, (labels, _) in enumerate(blocks) for lab in labels}
+    ready: list[list[ProductLine]] = [[] for _ in blocks]
     for line in lines:
         if line.flagged:
             continue
         names = [line.left, line.right, *(lab for lab, _ in line.terms)]
         ready[max(depth_of[lab] for lab in names)].append(line)
 
-    label_to_row: dict[str, int] = {}
-
-    def extend(depth: int) -> bool:
-        if depth == len(degs):
-            return True
-        labels = labels_by_degree[degs[depth]]
-        for perm in permutations(by_degree[degs[depth]]):
-            label_to_row.update(zip(labels, perm))
-            if all(sorted((label_to_row[lab], m) for lab, m in line.terms)
+    def fits(depth: int, label_to_row: dict[str, int]) -> bool:
+        return all(sorted((label_to_row[lab], m) for lab, m in line.terms)
                    == products[label_to_row[line.left], label_to_row[line.right]]
-                   for line in ready[depth]) and extend(depth + 1):
-                return True
-        return False
+                   for line in ready[depth])
 
-    if extend(0):
-        return {lab: alignment.row_to_label[row] for lab, row in label_to_row.items()}
-    return None
+    label_to_row = next(_block_assignments(blocks, fits), None)
+    if label_to_row is None:
+        return None
+    return {lab: alignment.row_to_label[row] for lab, row in label_to_row.items()}
 
 
 def check_branch_lines(parent: Alignment, child: Alignment,

@@ -40,19 +40,6 @@ from math import gcd
 Rational = Fraction
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, ascending, by trial division."""
     out = []
@@ -88,13 +75,16 @@ def _divmod_monic(num: list, den: tuple[int, ...]) -> tuple[list, list]:
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending, monic."""
-    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, by exact polynomial division.
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n)[:-1]:
-        num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
-        if any(rem):
-            raise AssertionError("non-exact polynomial division")
-    return tuple(num)
+    # Phi_1 = x - 1; for a prime p dividing n, m = n / p, Phi_n(x) = Phi_m(x^p)
+    # if p divides m, and Phi_m(x^p) / Phi_m(x), an exact division, if not.
+    if n == 1:
+        return (-1, 1)
+    p = prime_factors(n)[0]
+    m = n // p
+    phi = cyclotomic_polynomial(m)
+    lifted = [0] * (p * (len(phi) - 1) + 1)
+    lifted[::p] = phi
+    return tuple(lifted if m % p == 0 else _divmod_monic(lifted, phi)[0])
 
 
 def _reduce(n: int, parts: dict[int, Fraction]) -> dict[int, Fraction]:

@@ -118,6 +118,15 @@ def test_corrupt_file_errors(tmp_path):
     repeated.write_text(reference + "order 21\n")
     with pytest.raises(gold.GoldenFileError, match="repeated.txt.*repeated 'order'"):
         gold.load_golden_table(repeated)
+    # cells are checked against the order, so it comes before the first irrep,
+    # whether or not a cell names a root of unity
+    late_order = tmp_path / "late_order.txt"
+    for text in (reference.replace("order 21\n", "") + "order 21\n",
+                 "group g\nsizes 1 1\norders g 1 2\nirrep 1 1 1\nirrep 2 1 -1\norder 2\n"):
+        late_order.write_text(text)
+        with pytest.raises(gold.GoldenFileError,
+                           match="late_order.txt.*irrep line before the 'order' line"):
+            gold.load_golden_table(late_order)
 
 
 def test_largest_conductor_cells_load_quickly(tmp_path):
@@ -208,6 +217,45 @@ def test_alignment_found_for_every_roster_table():
     for name in catalog.ROSTER:
         cands = catalog._alignment_candidates(name, None)
         assert cands, f"no alignment for {name}"
+
+
+def exhaustive_alignments(table, golden, group_name):
+    """Reference for find_alignments: every permutation of the columns within
+    their (size, element order) blocks, in itertools.product order over the
+    blocks in sorted order, kept when its rows are the reference rows."""
+    golden_meta = list(zip(golden.sizes, golden.orders[group_name]))
+    computed_meta = [(c.size, c.element_order) for c in table.group.classes]
+    metas = sorted(set(golden_meta))
+    cols_of = {m: [c for c, meta in enumerate(golden_meta) if meta == m] for m in metas}
+    classes_of = {m: [k for k, meta in enumerate(computed_meta) if meta == m] for m in metas}
+    label_of = {tuple(str(v) for v in row): lab for lab, row in zip(golden.labels, golden.values)}
+    found = []
+    for combo in product(*(permutations(classes_of[m]) for m in metas)):
+        col_to_class = [0] * golden.n_classes
+        for m, perm in zip(metas, combo):
+            for col, k in zip(cols_of[m], perm):
+                col_to_class[col] = k
+        label_to_row = {}
+        for i, row in enumerate(table.rows):
+            label = label_of.get(tuple(str(row.values[k]) for k in col_to_class))
+            if label is None or label in label_to_row:
+                break
+            label_to_row[label] = i
+        else:
+            found.append((tuple(col_to_class), list(label_to_row.items())))
+    return found
+
+
+def test_alignment_candidates_match_exhaustive_enumeration():
+    """The candidates of every roster table are those of the exhaustive
+    enumeration, in its order: the first one is the reported alignment
+    unless a branching list rules it out."""
+    for name in catalog.ROSTER:
+        golden = catalog._golden_table(catalog.ROSTER[name].golden_file, None)
+        expected = exhaustive_alignments(catalog.table(name), golden, name)
+        assert expected, name
+        assert [(a.col_to_class, list(a.label_to_row.items()))
+                for a in catalog._alignment_candidates(name, None)] == expected, name
 
 
 def test_alignment_maps_are_bijective():
@@ -306,3 +354,25 @@ def test_tensor_relabeling_matches_brute_force():
                                      False, lines[first].raw)
     assert gold.find_tensor_relabeling(a, broken) is None
     assert brute_force_relabeling(a, broken) is None
+
+
+def test_tensor_relabeling_checks_lines_of_the_largest_degree():
+    """A line naming an irrep of the largest degree is checked too: with its
+    multiplicities raised by one its dimensions no longer add up, so no
+    relabeling reproduces it."""
+    for name, entry in catalog.ROSTER.items():
+        if entry.tensor_file is None:
+            continue
+        a = catalog.alignment(name)
+        lines = gold.load_tensor_lines(gold.DATA_DIR / entry.tensor_file,
+                                       *reference_labels(name))
+        degrees = a.table.degrees()
+        degree = {lab: degrees[row] for lab, row in a.label_to_row.items()}
+        top = max(degree.values())
+        last = max(i for i, line in enumerate(lines) if not line.flagged and top in (
+            degree[line.left], degree[line.right], *(degree[lab] for lab, _ in line.terms)))
+        broken = list(lines)
+        broken[last] = gold.ProductLine(lines[last].left, lines[last].right,
+                                        tuple((lab, m + 1) for lab, m in lines[last].terms),
+                                        False, lines[last].raw)
+        assert gold.find_tensor_relabeling(a, broken) is None, name

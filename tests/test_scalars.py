@@ -212,6 +212,20 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    """x^n - 1 is the product of Phi_d over the divisors d of n."""
+    for n in range(1, 401):
+        product = {0: 1}
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            terms = [(e, c) for e, c in enumerate(cyclotomic_polynomial(d)) if c]
+            step: dict[int, int] = {}
+            for a, x in product.items():
+                for b, y in terms:
+                    step[a + b] = step.get(a + b, 0) + x * y
+            product = {e: c for e, c in step.items() if c}
+        assert product == {0: -1, n: 1}, n
+
+
 def real(x: QuadSqrt2) -> float:
     return float(x.a) + float(x.b) * 2 ** 0.5
 
