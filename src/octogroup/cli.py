@@ -24,10 +24,14 @@ def _fail_usage(message: str) -> int:
     return USAGE_ERROR
 
 
+def _unknown_group(name: str) -> int:
+    return _fail_usage(f"unknown group {name!r}; roster: {', '.join(sorted(catalog.ROSTER))}")
+
+
 def cmd_chartab(args) -> int:
     name = args.group
     if name not in catalog.ROSTER:
-        return _fail_usage(f"unknown group {name!r}; roster: {', '.join(sorted(catalog.ROSTER))}")
+        return _unknown_group(name)
     align = catalog.alignment(name, args.golden_dir)
     group = align.table.group
 
@@ -66,7 +70,7 @@ def cmd_chartab(args) -> int:
 def cmd_tensor(args) -> int:
     name = args.group
     if name not in catalog.ROSTER:
-        return _fail_usage(f"unknown group {name!r}")
+        return _unknown_group(name)
     align = catalog.alignment(name, args.golden_dir)
     try:
         i = align.irrep_index(args.left)

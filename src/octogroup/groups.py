@@ -7,6 +7,12 @@ conjugation action, the complement search by lifting generators, and the
 search for an element conjugating one subgroup onto another.  Every
 construction takes what it needs from its arguments.
 
+Closures (``close`` and the lift closures of ``find_complement``) and the
+conjugator scan of ``find_conjugating_element`` compose tuples over the 2n
+signed points (``SignedPerm.points()``) and convert each result back to a
+``SignedPerm`` once; conjugacy classes, power maps, normality and the
+quotient still compose ``SignedPerm``.
+
 Everything is deterministic: elements are ordered by their canonical
 encoding, conjugacy classes by (element order, size, representative), and
 all searches scan in those orders.
@@ -18,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import lcm
-from operator import mul
 
 from .signedperm import SignedPerm, conjugate
 
@@ -57,6 +62,11 @@ def orbit(start, generators, act, cap: int | None = None) -> set:
                         raise ClosureCapError(f"closure exceeded cap {cap}")
         frontier = nxt
     return seen
+
+
+def _compose(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The points of x * g (x first, then g) from the points of x and g."""
+    return tuple(map(g.__getitem__, x))
 
 
 def conjugate_action(g: SignedPerm, points: list[SignedPerm]) -> SignedPerm:
@@ -159,8 +169,9 @@ def close(generators: list[SignedPerm]) -> Group:
         raise ValueError("need at least one generator")
     if len({g.degree for g in generators}) != 1:
         raise ValueError("generators must share a degree")
-    identity = SignedPerm.identity(generators[0].degree)
-    return Group(list(orbit(identity, generators, mul)), list(generators))
+    identity = SignedPerm.identity(generators[0].degree).points()
+    elements = orbit(identity, [g.points() for g in generators], _compose)
+    return Group([SignedPerm.from_points(x) for x in elements], list(generators))
 
 
 def subgroup(parent: Group, generators: list[SignedPerm]) -> Group:
@@ -212,21 +223,33 @@ def find_complement(parent: Group, normal: Group) -> Group | None:
     if not is_normal(parent, normal):
         raise SubgroupError("complement of a non-normal subgroup")
     cap = parent.order // normal.order
-    outside = [g for g in parent.generators if g not in normal]
-    for ns in product(normal.elements, repeat=len(outside)):
-        lifts = [g * n for g, n in zip(outside, ns)]
+    identity = parent.identity.points()
+    outside = [g.points() for g in parent.generators if g not in normal]
+    normal_points = [n.points() for n in normal.elements]
+    for ns in product(normal_points, repeat=len(outside)):
+        lifts = [_compose(g, n) for g, n in zip(outside, ns)]
         try:
-            elems = orbit(parent.identity, lifts, mul, cap)
+            elems = orbit(identity, lifts, _compose, cap)
         except ClosureCapError:
             continue
-        return Group(list(elems), lifts)
+        return Group([SignedPerm.from_points(x) for x in elems],
+                     [SignedPerm.from_points(g) for g in lifts])
     return None
 
 
 def find_conjugating_element(parent: Group, sub1: Group, sub2: Group) -> SignedPerm | None:
     """The first g in parent with g * H1 * g**-1 = H2, or None.  With equal
-    orders it suffices that g conjugates the generators of H1 into H2."""
+    orders it suffices that g conjugates the generators of H1 into H2.  The
+    points of g * h * g**-1 send x to ginv[h[g[x]]]."""
     if sub1.order != sub2.order:
         return None
-    return next((g for g in parent.elements
-                 if all(conjugate(h, g) in sub2 for h in sub1.generators)), None)
+    targets = {h.points() for h in sub2.elements}
+    gens = [h.points() for h in sub1.generators]
+    for g in parent.elements:
+        gp = g.points()
+        ginv = [0] * len(gp)
+        for x, y in enumerate(gp):
+            ginv[y] = x
+        if all(tuple(ginv[h[y]] for y in gp) in targets for h in gens):
+            return g
+    return None

@@ -37,6 +37,23 @@ def _build_unit_table() -> dict[tuple[int, int], tuple[int, int]]:
 _UNIT_TABLE = _build_unit_table()
 
 
+def _point(i: int, sign: int) -> int:
+    """The signed point of sign * e_i (i in 1..7) in ``SignedPerm.points()``."""
+    return 2 * (i - 1) + (sign < 0)
+
+
+# The standard multiplication rule: every signed triple (x, y, z) of the
+# 14 points +-e_i with distinct axes and x y = z, 4 sign choices per entry of
+# _UNIT_TABLE.
+_STANDARD_RULE: frozenset[tuple[int, int, int]] = frozenset(
+    (_point(i, si), _point(j, sj), _point(k, s * si * sj))
+    for (i, j), (k, s) in _UNIT_TABLE.items() for si in (1, -1) for sj in (1, -1))
+
+# The 42 products e_i e_j = s e_k of _UNIT_TABLE as signed point triples.
+_UNIT_TRIPLES = tuple((_point(i, 1), _point(j, 1), _point(k, s))
+                      for (i, j), (k, s) in _UNIT_TABLE.items())
+
+
 def unit_product(i: int, j: int) -> tuple[int, int]:
     """(k, sign) with e_i e_j = sign * e_k for i, j in 0..7, where e_0 = 1."""
     if i == 0 or j == 0:
@@ -131,18 +148,13 @@ def triad_type(i: int, j: int, k: int) -> str:
 
 
 def is_algebra_automorphism(g: SignedPerm) -> bool:
-    """Does g (acting linearly, fixing 1, e_i -> sign*e_image) preserve the product?"""
+    """Does g (acting linearly, fixing 1, e_i -> sign*e_image) preserve the product?
+
+    It does exactly when g maps each of the 42 products e_i e_j = s e_k
+    (i != j) into the standard rule: g(e_i) g(e_j) = s g(e_k) is then a
+    product of the octonions.  Squares e_i^2 = -1 are preserved by any signed
+    permutation."""
     if g.degree != 7:
         raise ValueError("octonion automorphism test needs degree 7")
-    for i in range(1, 8):
-        for j in range(1, 8):
-            if i == j:
-                continue  # e_i^2 = -1 is preserved by any signed permutation
-            k, s = _UNIT_TABLE[(i, j)]
-            pi, si = g.apply(i - 1)
-            pj, sj = g.apply(j - 1)
-            pk, sk = g.apply(k - 1)
-            m, sm = _UNIT_TABLE[(pi + 1, pj + 1)]
-            if m != pk + 1 or si * sj * sm != s * sk:
-                return False
-    return True
+    p = g.points()
+    return all((p[x], p[y], p[z]) in _STANDARD_RULE for x, y, z in _UNIT_TRIPLES)

@@ -107,6 +107,17 @@ class SignedPerm:
         return tuple(2 * j + (t ^ (s < 0)) for j, s in zip(self.image, self.signs)
                      for t in (0, 1))
 
+    @staticmethod
+    def from_points(points: tuple[int, ...]) -> "SignedPerm":
+        """The inverse of ``points()``.  Raises ValueError for a tuple of odd
+        length, one that is not a permutation of the 2n signed points, or one
+        that breaks ``points[x ^ 1] == points[x] ^ 1`` (-e_i goes to minus the
+        image of +e_i)."""
+        plus = points[::2]
+        if len(points) % 2 or [p ^ 1 for p in plus] != list(points[1::2]):
+            raise ValueError("points do not pair +e_i with -e_i")
+        return SignedPerm(tuple([p >> 1 for p in plus]), tuple([1 - 2 * (p & 1) for p in plus]))
+
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Canonical encoding used for ordering and deduplication."""
         return (self.image, self.signs)

@@ -22,7 +22,7 @@ from octogroup.chartab import (
 from octogroup.groups import Group, close
 from octogroup.scalars import Cyclotomic
 from octogroup.signedperm import SignedPerm
-from octogroup import catalog
+from octogroup import catalog, chartab
 
 
 def trivial_index(table):
@@ -253,6 +253,23 @@ def test_residues_reduce_the_rows():
                 theta = pow(z, (p - 1) // v.conductor, p)
                 assert r == sum(c.numerator * pow(c.denominator, -1, p) * pow(theta, e, p)
                                 for e, c in v.coeffs) % p
+
+
+def test_lift_must_reduce_back(monkeypatch):
+    """A lift that is not the value the residues describe is caught: with a
+    Cyclotomic.make that returns the complex conjugate at conductor 7, the
+    order-7 values of 7:3, (-1 +- sqrt(-7))/2, come back swapped."""
+    make = Cyclotomic.make
+
+    def conjugate_at_7(n, parts):
+        if n == 7:
+            parts = {-k % n: c for k, c in parts.items()}
+        return make(n, parts)
+
+    group = catalog.build("7:3")
+    monkeypatch.setattr(chartab.Cyclotomic, "make", staticmethod(conjugate_at_7))
+    with pytest.raises(SplitFailure, match="^cyclotomic lift does not reduce back mod p$"):
+        character_table(group)
 
 
 def test_tensor_decompose_rejects_inexact_residues():

@@ -40,10 +40,15 @@ def test_chartab_json_1344(capsys):
     assert sum(c["size"] for c in eights) == 336
 
 
-def test_chartab_unknown_group(capsys):
-    code, _, err = run_cli(capsys, "chartab", "nope")
-    assert code == 2
-    assert "unknown group" in err
+@pytest.mark.parametrize("argv", [("chartab", "nope"), ("tensor", "nope", "1", "1"),
+                                  ("branch", "nope", "7:3")], ids=lambda argv: argv[0])
+def test_chartab_unknown_group(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    if argv[0] == "branch":
+        assert err.startswith("error: no registered subgroup embedding nope -> 7:3; known: ")
+    else:
+        assert err == f"error: unknown group 'nope'; roster: {', '.join(sorted(catalog.ROSTER))}\n"
 
 
 def test_chartab_text(capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from operator import mul
 
 import pytest
@@ -250,3 +251,61 @@ def test_lagrange():
     parent = catalog.build("4.S4:2")
     sub = subgroup(parent, [parent.generators[0]])
     assert parent.order % sub.order == 0
+
+
+# Test-local references that compose SignedPerm objects, against which the
+# point-tuple paths of close, find_complement and find_conjugating_element
+# are checked.
+
+def reference_complement(parent, normal):
+    cap = parent.order // normal.order
+    outside = [g for g in parent.generators if g not in normal]
+    for ns in product(normal.elements, repeat=len(outside)):
+        lifts = [g * n for g, n in zip(outside, ns)]
+        try:
+            return orbit(parent.identity, lifts, mul, cap), lifts
+        except ClosureCapError:
+            continue
+    return None
+
+
+def reference_conjugator(parent, sub1, sub2):
+    if sub1.order != sub2.order:
+        return None
+    return next((g for g in parent.elements
+                 if all(conjugate(h, g) in sub2 for h in sub1.generators)), None)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ROSTER))
+def test_closure_matches_signedperm_reference(name):
+    gens = list(catalog.build(name).generators)
+    group = close(gens)
+    assert group.elements == tuple(sorted(orbit(SignedPerm.identity(7), gens, mul)))
+    assert group.generators == tuple(gens)
+
+
+@pytest.mark.parametrize("name", ["2^3.PSL2(7)", "2^3:PSL2(7)", "2^3.S4", "2^3:S4", "4:S4:2"])
+def test_complement_matches_signedperm_reference(name):
+    """The five extension claims: the same complement, from the same lifts, or None."""
+    parent = catalog.build(name)
+    normal = subgroup(parent, gen("N1", "N2", "N7"))
+    found = find_complement(parent, normal)
+    expected = reference_complement(parent, normal)
+    assert (found is None) == (expected is None) == (name in ("2^3.PSL2(7)", "2^3.S4"))
+    if found is not None:
+        elements, lifts = expected
+        assert found.elements == tuple(sorted(elements))
+        assert found.generators == tuple(lifts)
+
+
+def test_conjugator_matches_signedperm_reference():
+    split, non = catalog.build("2^3:PSL2(7)"), catalog.build("2^3.PSL2(7)")
+    h1 = catalog.build("PSL2(7)")
+    g = split.elements[random.Random(35).randrange(split.order)]
+    moved = close([conjugate(x, g) for x in h1.generators])
+    cases = [(split, h1, catalog.build("PSL2(7)-second")),
+             (non, catalog.build("2^3.S4-pairs"), catalog.build("2^3.S4")),
+             (split, h1, moved)]
+    found = [find_conjugating_element(*case) for case in cases]
+    assert found == [reference_conjugator(*case) for case in cases]
+    assert found[0] is None and None not in found[1:]

@@ -14,6 +14,7 @@ from octogroup.octonion import (
     unit_product,
 )
 from octogroup import catalog
+from octogroup.signedperm import SignedPerm
 
 e = Octonion.unit
 
@@ -126,6 +127,35 @@ def test_algebra_automorphism_examples():
     assert is_algebra_automorphism(catalog.generator("N1"))
     assert is_algebra_automorphism(catalog.generator("gamma"))
     assert not is_algebra_automorphism(catalog.generator("A_t"))
+
+
+def reference_is_automorphism(g):
+    """Test-local unit-table loop: g(e_i) g(e_j) = s g(e_k) whenever e_i e_j = s e_k."""
+    for i in range(1, 8):
+        for j in range(1, 8):
+            if i == j:
+                continue
+            k, s = unit_product(i, j)
+            pi, si = g.apply(i - 1)
+            pj, sj = g.apply(j - 1)
+            pk, sk = g.apply(k - 1)
+            m, sm = unit_product(pi + 1, pj + 1)
+            if m != pk + 1 or si * sj * sm != s * sk:
+                return False
+    return True
+
+
+def test_automorphism_rule_lookup_matches_unit_table_loop():
+    rng = random.Random(35)
+    candidates = list(catalog.build("2^3.PSL2(7)").elements + catalog.build("2^3:PSL2(7)").elements)
+    for _ in range(2000):
+        image = list(range(7))
+        rng.shuffle(image)
+        candidates.append(SignedPerm(tuple(image), tuple(rng.choice((1, -1)) for _ in range(7))))
+    verdicts = [is_algebra_automorphism(g) for g in candidates]
+    assert verdicts == [reference_is_automorphism(g) for g in candidates]
+    # all 1344 non-split elements and 168 split ones preserve the product
+    assert sum(verdicts[:2688]) == 1344 + 168
 
 
 def test_automorphisms_closed_under_composition():

@@ -190,6 +190,20 @@ def test_points_compose_like_signed_perms(n):
         assert is_even(points) == g.doubled_is_even()
 
 
+def test_from_points_inverts_points():
+    for name in catalog.ROSTER:
+        for g in catalog.build(name).elements:
+            assert SignedPerm.from_points(g.points()) == g
+    plus = SignedPerm.identity(7).points()
+    for bad in (
+        (0, 3, 2, 1) + plus[4:],  # a permutation fixing +e1 but sending -e1 to -e2
+        (1, 0, 0, 1),             # a repeated point
+        plus + (14,),             # odd length
+    ):
+        with pytest.raises(ValueError):
+            SignedPerm.from_points(bad)
+
+
 def test_degree_mismatch():
     with pytest.raises(ValueError):
         SignedPerm.identity(7) * SignedPerm.identity(6)
